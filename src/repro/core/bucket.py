@@ -16,10 +16,15 @@ backend's fused kernel is then a pure function — every backend trains on
 the same samples, and the reference backend reproduces pre-backend results
 bit for bit.
 
-``theta`` is never written: the reference backend trains on a
-copy-on-write overlay, the fast backends on compact gathered copies — so
-the function is safe to run concurrently against one shared snapshot
-(thread workers) or a pickled copy (process workers), and an exception
+Because every batch and negative is drawn here, each row a bucket reads
+is known before the backend runs. Backends exploit that by compiling the
+bucket once: the reference backend gathers the bucket's whole read set
+from ``theta`` into compact float64 copies and precomputes every batch's
+row-scatter plan in one vectorized pass (see
+:mod:`repro.nn.backends.reference`); the fast backends build their
+compact float32 plans the same way. ``theta`` is never written, so the
+function is safe to run concurrently against one shared snapshot (thread
+workers) or a pickled copy (process workers), and an exception
 mid-bucket cannot corrupt the global model. The per-bucket cost stays
 proportional to the bucket's data, not to the model size — the dominant
 cost at small grouping factors where hundreds of buckets run per step.

@@ -99,7 +99,11 @@ class EngineContext:
 
 
 class _StageClock:
-    """Times each stage of one step; the per-step metric payload."""
+    """Times each stage of one step; the per-step metric payload.
+
+    A stage timed more than once in a step (``account`` covers the budget
+    preview before ``apply`` and the accounting after it) sums its parts.
+    """
 
     __slots__ = ("seconds", "_started", "_name")
 
@@ -113,7 +117,8 @@ class _StageClock:
         self._started = time.perf_counter()
 
     def stop(self) -> None:
-        self.seconds[self._name] = time.perf_counter() - self._started
+        elapsed = time.perf_counter() - self._started
+        self.seconds[self._name] = self.seconds.get(self._name, 0.0) + elapsed
 
 
 class TrainingEngine:
@@ -222,9 +227,8 @@ class TrainingEngine:
                 observer.on_bucket_done(context, step, update)
         aggregate = pipeline.aggregate(local)
         noise = pipeline.noise(aggregate, sigma, step_rng)  # type: ignore[arg-type]
-        applied = pipeline.apply(
-            aggregate, snapshot_needed=pipeline.budget_would_cross(sigma)
-        )
+        snapshot_needed = pipeline.budget_would_cross(sigma)
+        applied = pipeline.apply(aggregate, snapshot_needed=snapshot_needed)
         account = pipeline.account(sigma)
         return StepResult(
             step=step,
@@ -284,12 +288,15 @@ class TrainingEngine:
                 clock.start("noise")
                 noise = pipeline.noise(aggregate, sigma, step_rng)  # type: ignore[arg-type]
                 clock.stop()
+            # The ledger preview is accounting work: it is billed to the
+            # account stage, not to apply, which only consumes its answer.
+            with obs.span("engine.stage.account.preview", step=step):
+                clock.start("account")
+                snapshot_needed = pipeline.budget_would_cross(sigma)
+                clock.stop()
             with obs.span("engine.stage.apply", step=step):
                 clock.start("apply")
-                applied = pipeline.apply(
-                    aggregate,
-                    snapshot_needed=pipeline.budget_would_cross(sigma),
-                )
+                applied = pipeline.apply(aggregate, snapshot_needed=snapshot_needed)
                 clock.stop()
             with obs.span("engine.stage.account", step=step):
                 clock.start("account")

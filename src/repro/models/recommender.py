@@ -149,6 +149,12 @@ class NextLocationRecommender:
         profiles = np.add.reduceat(rows, starts, axis=0) / counts[:, None].astype(
             np.float32
         )
+        if profiles.shape[0] == 1:
+            # A one-row product takes BLAS's matrix-vector path, whose
+            # float32 sums differ in the last bits from the matrix-matrix
+            # path every larger batch takes. Scoring the row twice keeps a
+            # query's scores the same alone as in a batch.
+            return (np.repeat(profiles, 2, axis=0) @ matrix32.T)[:1]
         return profiles @ matrix32.T
 
     def _score_encoded(

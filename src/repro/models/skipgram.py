@@ -141,10 +141,12 @@ class SkipGramModel:
             scatter the gradient: target rows + their dense gradients, and
             candidate rows + their dense gradients for ``Wc`` and ``b``.
         """
+        targets = np.asarray(targets, dtype=np.int64)
+        contexts = np.asarray(contexts, dtype=np.int64)
         negatives = np.asarray(negatives, dtype=np.int64)
-        if negatives.shape != (np.shape(targets)[0], self.num_negatives):
+        if negatives.shape != (targets.shape[0], self.num_negatives):
             raise ConfigError(
-                f"negatives must have shape ({np.shape(targets)[0]}, {self.num_negatives}),"
+                f"negatives must have shape ({targets.shape[0]}, {self.num_negatives}),"
                 f" got {negatives.shape}"
             )
         return self.backend.loss_and_sparse_grads(
@@ -214,6 +216,8 @@ class SkipGramModel:
             ``(loss, pieces)`` where ``pieces["shared"]`` is True and the
             gradient pieces are laid out for :meth:`apply_sparse_update`.
         """
+        targets = np.asarray(targets, dtype=np.int64)
+        contexts = np.asarray(contexts, dtype=np.int64)
         negatives = np.asarray(negatives, dtype=np.int64).ravel()
         if negatives.shape != (self.num_negatives,):
             raise ConfigError(

@@ -1,10 +1,20 @@
 """The reference backend: float64, bit-for-bit the library's defining math.
 
 Every array operation here is the exact sequence the pre-backend
-implementation performed — same dtypes, same op order, same copy-on-write
-materialization pattern — so a model trained through this backend is
-bit-identical to historical results. The other backends are validated
-against it.
+implementation performed — same dtypes, same op order, same segment-sum
+order — so a model trained through this backend is bit-identical to
+historical results. The other backends are validated against it.
+
+The fused bucket update compiles each bucket into a :class:`_BucketPlan`
+before its SGD loop. :mod:`repro.core.bucket` draws every batch and
+negative before a backend runs, so every row a bucket reads is known up
+front: the plan gathers that read set once, remaps every batch into it,
+and compiles every batch's row scatters in one vectorized pass. The loop
+then runs the same ufunc sequence as the per-step API
+(:meth:`ReferenceBackend.loss_and_shared_grads` /
+:meth:`~ReferenceBackend.loss_and_sparse_grads` followed by
+:meth:`~ReferenceBackend.apply_sparse_update`) with no per-batch
+``np.unique``, argsort or input coercion.
 """
 
 from __future__ import annotations
@@ -23,65 +33,113 @@ from repro.nn.backends.base import (
     KernelBackend,
     LocalUpdateSpec,
     clip_bucket_delta,
+    empty_bucket_delta,
 )
-from repro.nn.functional import scatter_add_rows
+from repro.nn.functional import RowScatter, plan_row_scatters, unique_sorted
 from repro.nn.losses import CandidateSamplingLoss
 from repro.nn.parameters import ParameterSet
 
 
-class _CowOverlay:
-    """Copy-on-write row overlay of ``theta`` for one bucket's local SGD.
+def _scatter_rows(pieces: dict) -> list[np.ndarray]:
+    """The row arrays :meth:`ReferenceBackend.apply_sparse_update` scatters
+    into, in order: targets, then contexts and negatives (shared) or the
+    flattened candidates (per pair, used for both ``Wc`` and ``b``).
+    :class:`_BucketPlan` compiles the same segments for every batch."""
+    if pieces.get("shared"):
+        return [pieces["targets"], pieces["contexts"], pieces["negatives"]]
+    return [pieces["targets"], pieces["candidates"].ravel()]
 
-    The scratch buffers start uninitialized (``np.empty_like``); a row is
-    only valid after :meth:`materialize` copied it from ``theta``. The
-    batch loop materializes a batch's full read set (targets, contexts,
-    negatives) before the forward pass, so every row the model reads or
-    writes is backed by real values. The bias buffer is zero-initialized
-    because the shared-negative fast path updates it through a dense
-    ``bincount`` subtraction that touches every entry.
+
+class _BucketPlan:
+    """One bucket's batches compiled once, before its local SGD.
+
+    - **Working copy.** ``params`` holds compact float64 copies of the
+      bucket's whole read set, gathered from ``theta`` in one pass: the
+      ``W`` rows named by any target, and the ``Wc``/``b`` rows named by
+      any context or negative (one row set shared by both). Every row the
+      loop reads or writes is there from the start, and ``theta`` is never
+      written, so the bucket is safe to run against a shared snapshot.
+    - **Remapped batches.** Every batch's targets, contexts and negatives
+      are rewritten into compact row space with one ``np.searchsorted``
+      per tensor.
+    - **Scatter plans.** Every batch's row scatters (targets, contexts
+      and negatives; or targets and candidates on the per-pair path) are
+      compiled in one :func:`~repro.nn.functional.plan_row_scatters`
+      pass: stable order, group starts and destination rows.
+
+    The segment sums stay ``np.add.reduceat``: it sums a row's duplicate
+    updates among themselves before adding them to the row. ``np.add.at``
+    would add each duplicate into the row in turn — a different summation
+    order with different bits — and the golden hash pins reduceat's order.
+
+    ``steps`` holds one ``(shared, targets, contexts, negatives,
+    scatters)`` tuple per batch, in compact row space.
     """
 
-    def __init__(self, theta: ParameterSet) -> None:
-        self._theta = theta
-        work: dict[str, np.ndarray] = {}
-        for name in TENSOR_NAMES:
-            source = theta[name]
-            work[name] = (
-                np.zeros_like(source) if source.ndim == 1 else np.empty_like(source)
-            )
-        self.params = ParameterSet(work, copy=False)
-        self._mask = {
-            name: np.zeros(theta[name].shape[0], dtype=bool)
-            for name in TENSOR_NAMES
-        }
+    __slots__ = ("rows", "params", "steps")
 
-    def materialize(self, name: str, rows: np.ndarray) -> None:
-        """Copy not-yet-materialized ``theta`` rows into the scratch buffer."""
-        rows = np.unique(rows)
-        mask = self._mask[name]
-        fresh = rows[~mask[rows]]
-        if fresh.size:
-            self.params[name][fresh] = self._theta[name][fresh]
-            mask[fresh] = True
+    def __init__(self, theta: ParameterSet, batches: Sequence[BucketBatch]) -> None:
+        targets = np.concatenate([batch.targets for batch in batches])
+        contexts = np.concatenate([batch.contexts for batch in batches])
+        negatives = np.concatenate([batch.negatives.ravel() for batch in batches])
+        emb_rows = unique_sorted(targets)
+        ctx_rows = unique_sorted(np.concatenate([contexts, negatives]))
+        self.rows = {EMBEDDING: emb_rows, CONTEXT: ctx_rows, BIAS: ctx_rows}
+        self.params = ParameterSet(
+            {name: theta[name].take(rows, axis=0) for name, rows in self.rows.items()},
+            copy=False,
+        )
 
-    def collect_delta(self) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-        """Row indices and ``scratch - theta`` values for every touched row."""
-        rows_out: dict[str, np.ndarray] = {}
-        values_out: dict[str, np.ndarray] = {}
-        for name in TENSOR_NAMES:
-            rows = np.flatnonzero(self._mask[name])
-            if rows.size:
-                rows_out[name] = rows
-                values_out[name] = self.params[name][rows] - self._theta[name][rows]
+        targets = np.searchsorted(emb_rows, targets)
+        contexts = np.searchsorted(ctx_rows, contexts)
+        negatives = np.searchsorted(ctx_rows, negatives)
+        inputs: list[tuple] = []
+        segments: list[np.ndarray] = []
+        pair_at = negative_at = 0
+        for batch in batches:
+            n, k = batch.targets.size, batch.negatives.size
+            batch_targets = targets[pair_at : pair_at + n]
+            batch_contexts = contexts[pair_at : pair_at + n]
+            batch_negatives = negatives[negative_at : negative_at + k]
+            pair_at += n
+            negative_at += k
+            if batch.shared:
+                segments += [batch_targets, batch_contexts, batch_negatives]
             else:
-                rows_out[name] = np.empty(0, dtype=np.int64)
-                trailing = self._theta[name].shape[1:]
-                values_out[name] = np.empty((0, *trailing))
-        return rows_out, values_out
+                batch_negatives = batch_negatives.reshape(n, -1)
+                candidates = np.concatenate(
+                    [batch_contexts[:, None], batch_negatives], axis=1
+                )
+                segments += [batch_targets, candidates.ravel()]
+            inputs.append((batch.shared, batch_targets, batch_contexts, batch_negatives))
+
+        scatters = plan_row_scatters(segments)
+        self.steps: list[tuple] = []
+        at = 0
+        for step in inputs:
+            width = 3 if step[0] else 2
+            self.steps.append((*step, scatters[at : at + width]))
+            at += width
+
+    def collect_delta(
+        self, theta: ParameterSet
+    ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+        """Row indices and ``work - theta`` values for every read row."""
+        values = {
+            name: self.params[name] - theta[name][rows]
+            for name, rows in self.rows.items()
+        }
+        rows = dict(self.rows)
+        rows[BIAS] = rows[BIAS].copy()
+        return rows, values
 
 
 class ReferenceBackend(KernelBackend):
-    """Exact float64 kernels — the semantics every other backend must match."""
+    """Exact float64 kernels — the semantics every other backend must match.
+
+    The per-step entry points take int64 row arrays as given (the model
+    layer coerces and validates its inputs).
+    """
 
     name = "reference"
     accumulation_dtype = np.float64
@@ -105,9 +163,6 @@ class ReferenceBackend(KernelBackend):
         contexts: np.ndarray,
         negatives: np.ndarray,
     ) -> tuple[float, dict]:
-        targets = np.asarray(targets, dtype=np.int64)
-        contexts = np.asarray(contexts, dtype=np.int64)
-        negatives = np.asarray(negatives, dtype=np.int64)
         candidates = np.concatenate([contexts[:, None], negatives], axis=1)
         hidden = params[EMBEDDING][targets]  # (batch, dim)
         context_rows = params[CONTEXT][candidates]  # (batch, 1+neg, dim)
@@ -140,17 +195,14 @@ class ReferenceBackend(KernelBackend):
         contexts: np.ndarray,
         negatives: np.ndarray,
     ) -> tuple[float, dict]:
-        targets = np.asarray(targets, dtype=np.int64)
-        contexts = np.asarray(contexts, dtype=np.int64)
-        negatives = np.asarray(negatives, dtype=np.int64).ravel()
+        context_matrix = params[CONTEXT]
+        bias = params[BIAS]
         hidden = params[EMBEDDING][targets]  # (batch, dim)
-        context_rows = params[CONTEXT][contexts]  # (batch, dim)
-        negative_rows = params[CONTEXT][negatives]  # (neg, dim)
+        context_rows = context_matrix[contexts]  # (batch, dim)
+        negative_rows = context_matrix[negatives]  # (neg, dim)
 
-        positive_logits = (
-            np.einsum("bd,bd->b", hidden, context_rows) + params[BIAS][contexts]
-        )
-        negative_logits = hidden @ negative_rows.T + params[BIAS][negatives]
+        positive_logits = np.einsum("bd,bd->b", hidden, context_rows) + bias[contexts]
+        negative_logits = hidden @ negative_rows.T + bias[negatives]
         logits = np.concatenate([positive_logits[:, None], negative_logits], axis=1)
         output = loss.value_and_grad(logits)
         grad_logits = output.grad_logits  # (batch, 1 + neg), already / batch
@@ -176,24 +228,20 @@ class ReferenceBackend(KernelBackend):
         return output.loss, pieces
 
     def apply_sparse_update(
-        self, params: ParameterSet, pieces: dict, learning_rate: float
+        self,
+        params: ParameterSet,
+        pieces: dict,
+        learning_rate: float,
+        scatters: Sequence[RowScatter] | None = None,
     ) -> None:
-        scatter_add_rows(
-            params[EMBEDDING],
-            pieces["targets"],
-            -learning_rate * pieces["grad_hidden"],
-        )
+        """One in-place SGD step; ``scatters`` are the batch's compiled
+        row scatters (built from ``pieces`` when not given)."""
+        if scatters is None:
+            scatters = plan_row_scatters(_scatter_rows(pieces))
+        scatters[0].add(params[EMBEDDING], -learning_rate * pieces["grad_hidden"])
         if pieces.get("shared"):
-            scatter_add_rows(
-                params[CONTEXT],
-                pieces["contexts"],
-                -learning_rate * pieces["grad_context_pos"],
-            )
-            scatter_add_rows(
-                params[CONTEXT],
-                pieces["negatives"],
-                -learning_rate * pieces["grad_context_neg"],
-            )
+            scatters[1].add(params[CONTEXT], -learning_rate * pieces["grad_context_pos"])
+            scatters[2].add(params[CONTEXT], -learning_rate * pieces["grad_context_neg"])
             bias = params[BIAS]
             bias -= learning_rate * np.bincount(
                 pieces["contexts"],
@@ -206,18 +254,12 @@ class ReferenceBackend(KernelBackend):
                 minlength=bias.shape[0],
             )
             return
-        candidates_flat = pieces["candidates"].ravel()
         batch, width = pieces["candidates"].shape
-        scatter_add_rows(
+        scatters[1].add(
             params[CONTEXT],
-            candidates_flat,
             (-learning_rate * pieces["grad_context_rows"]).reshape(batch * width, -1),
         )
-        scatter_add_rows(
-            params[BIAS],
-            candidates_flat,
-            (-learning_rate * pieces["grad_bias_rows"]).ravel(),
-        )
+        scatters[1].add(params[BIAS], (-learning_rate * pieces["grad_bias_rows"]).ravel())
 
     # -- the fused hot path -------------------------------------------------
 
@@ -227,35 +269,24 @@ class ReferenceBackend(KernelBackend):
         batches: Sequence[BucketBatch],
         spec: LocalUpdateSpec,
     ) -> BucketDelta:
-        overlay = _CowOverlay(theta)
-        work = overlay.params
+        if not batches:
+            return empty_bucket_delta(theta)
+        plan = _BucketPlan(theta, batches)
+        work = plan.params
         losses: list[float] = []
-
-        for batch in batches:
-            # Materialize each batch's full read set (targets, contexts,
-            # negatives) before the forward pass, like the historical loop.
-            context_rows = np.concatenate([batch.contexts, batch.negatives.ravel()])
-            overlay.materialize(EMBEDDING, batch.targets)
-            overlay.materialize(CONTEXT, context_rows)
-            overlay.materialize(BIAS, context_rows)
-            if batch.shared:
-                loss, pieces = self.loss_and_shared_grads(
-                    spec.loss, work, batch.targets, batch.contexts, batch.negatives
-                )
-            else:
-                loss, pieces = self.loss_and_sparse_grads(
-                    spec.loss, work, batch.targets, batch.contexts, batch.negatives
-                )
-            self.apply_sparse_update(work, pieces, spec.learning_rate)
+        for shared, targets, contexts, negatives, scatters in plan.steps:
+            grads = self.loss_and_shared_grads if shared else self.loss_and_sparse_grads
+            loss, pieces = grads(spec.loss, work, targets, contexts, negatives)
+            self.apply_sparse_update(work, pieces, spec.learning_rate, scatters)
             losses.append(loss)
 
-        rows, values = overlay.collect_delta()
+        rows, values = plan.collect_delta(theta)
         unclipped_norm = clip_bucket_delta(values, spec.clip_bound, spec.clipping)
         return BucketDelta(
             rows=rows,
             values=values,
             shapes={name: theta[name].shape for name in TENSOR_NAMES},
-            mean_loss=float(np.mean(losses)) if losses else float("nan"),
+            mean_loss=float(np.mean(losses)),
             num_batches=len(losses),
             unclipped_norm=unclipped_norm,
         )

@@ -71,10 +71,11 @@ class SampledSoftmaxLoss(CandidateSamplingLoss):
         logits = self._validate(logits)
         batch = logits.shape[0]
         log_probs = log_softmax(logits, axis=1)
-        loss = float(-np.mean(log_probs[:, 0]))
+        loss = float(-(log_probs[:, 0].sum() / batch))
         grad = np.exp(log_probs)  # softmax, reusing the log-softmax pass
         grad[:, 0] -= 1.0
-        return LossOutput(loss=loss, grad_logits=grad / batch)
+        grad /= batch
+        return LossOutput(loss=loss, grad_logits=grad)
 
 
 class NegativeSamplingLoss(CandidateSamplingLoss):
@@ -87,14 +88,14 @@ class NegativeSamplingLoss(CandidateSamplingLoss):
     def value_and_grad(self, logits: np.ndarray) -> LossOutput:
         logits = self._validate(logits)
         batch = logits.shape[0]
-        probs = sigmoid(logits)
+        grad = sigmoid(logits)
         # -log sigma(z0): stable via softplus(-z0); -log sigma(-zj) = softplus(zj)
-        positive_term = np.logaddexp(0.0, -logits[:, 0])
-        negative_term = np.sum(np.logaddexp(0.0, logits[:, 1:]), axis=1)
-        loss = float(np.mean(positive_term + negative_term))
-        grad = probs.copy()
+        per_example = np.logaddexp(0.0, -logits[:, 0])
+        per_example += np.logaddexp(0.0, logits[:, 1:]).sum(axis=1)
+        loss = float(per_example.sum() / batch)
         grad[:, 0] -= 1.0
-        return LossOutput(loss=loss, grad_logits=grad / batch)
+        grad /= batch
+        return LossOutput(loss=loss, grad_logits=grad)
 
 
 class NoiseContrastiveEstimationLoss(CandidateSamplingLoss):
@@ -124,9 +125,11 @@ class NoiseContrastiveEstimationLoss(CandidateSamplingLoss):
         labels[:, 0] = 1.0
         # Binary cross-entropy per candidate, stable form.
         loss_matrix = np.logaddexp(0.0, corrected) - labels * corrected
-        loss = float(np.mean(np.sum(loss_matrix, axis=1)))
-        grad = sigmoid(corrected) - labels
-        return LossOutput(loss=loss, grad_logits=grad / batch)
+        loss = float(loss_matrix.sum(axis=1).sum() / batch)
+        grad = sigmoid(corrected)
+        grad -= labels
+        grad /= batch
+        return LossOutput(loss=loss, grad_logits=grad)
 
 
 # -- dtype-preserving kernel forms ------------------------------------------

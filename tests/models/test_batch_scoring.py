@@ -73,13 +73,15 @@ def test_batch_rows_independent_of_batch_composition(embeddings):
     recommender = NextLocationRecommender(embeddings)
     rng = np.random.default_rng(8)
     queries = _random_queries(rng, 32, None)
-    whole = recommender.score_batch(queries, mode="exact")
-    # The same query scored in a different batch (or alone) is identical.
-    shuffled = list(reversed(queries))
-    reversed_batch = recommender.score_batch(shuffled, mode="exact")
-    assert np.array_equal(whole, reversed_batch[::-1])
-    alone = recommender.score_batch(queries[:1], mode="exact")
-    assert np.array_equal(whole[0], alone[0])
+    for mode in ("exact", "fast"):
+        whole = recommender.score_batch(queries, mode=mode)
+        # The same query scored in a different batch (or alone) is identical.
+        shuffled = list(reversed(queries))
+        reversed_batch = recommender.score_batch(shuffled, mode=mode)
+        assert np.array_equal(whole, reversed_batch[::-1]), mode
+        for i, query in enumerate(queries):
+            alone = recommender.score_batch([query], mode=mode)
+            assert np.array_equal(whole[i], alone[0]), (mode, i)
 
 
 def test_fast_mode_matches_exact_ranking_closely(embeddings):

@@ -83,6 +83,35 @@ class TestEngineSpans:
             assert summary[f"engine.stage.{stage}"]["count"] == len(history)
 
 
+class TestBudgetPreviewBilling:
+    def test_slow_budget_preview_is_billed_to_account(self, split_dataset, monkeypatch):
+        """The ledger preview runs before apply and counts as accounting."""
+        import time
+
+        from repro.core.engine.stages import StepPipeline
+
+        delay = 0.05
+        preview = StepPipeline.budget_would_cross
+
+        def slow_preview(self, sigma):
+            time.sleep(delay)
+            return preview(self, sigma)
+
+        monkeypatch.setattr(StepPipeline, "budget_would_cross", slow_preview)
+        train, _ = split_dataset
+        obs = with_observability()
+        history = PrivateLocationPredictor(
+            _fast_config(), rng=11, observability=obs
+        ).fit(train)
+        stage_seconds = obs.metrics.histogram("repro_engine_stage_seconds")
+        assert stage_seconds.count(stage="account") == len(history)
+        assert stage_seconds.sum(stage="account") >= delay * len(history)
+        assert stage_seconds.sum(stage="apply") < delay
+        previews = obs.tracer.spans_named("engine.stage.account.preview")
+        assert len(previews) == len(history)
+        assert all(span.duration_seconds >= delay for span in previews)
+
+
 class TestParallelExecutorSpans:
     def test_spans_and_bucket_timings_under_process_pool(self, split_dataset):
         train, _ = split_dataset
