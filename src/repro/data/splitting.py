@@ -13,6 +13,8 @@ evaluating on unseen users matches real-life deployment.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.data.checkins import CheckinDataset
 from repro.exceptions import DataError
 from repro.rng import RngLike, ensure_rng
@@ -88,6 +90,70 @@ def sessionize(
             )
         )
     return trajectories
+
+
+def session_starts(
+    timestamps: np.ndarray,
+    user_offsets: np.ndarray,
+    max_duration_seconds: float = SIX_HOURS_SECONDS,
+) -> np.ndarray:
+    """Where :func:`sessionize` starts a trajectory, over many users at once.
+
+    ``timestamps`` holds user histories back to back: user ``i`` owns
+    ``timestamps[user_offsets[i]:user_offsets[i + 1]]``. Returns the
+    ascending flat positions of every trajectory's first check-in, split
+    by the same rule and the same float comparison as :func:`sessionize`,
+    so the trajectories are identical — without building a check-in or
+    trajectory object per row.
+
+    In a time-sorted history a gap longer than the limit always starts a
+    trajectory: the span from the current start is at least the gap.
+    The run up to the next such gap splits again only if its own span
+    exceeds the limit. Only those runs, and histories that are not sorted
+    (or hold NaN), are walked row by row.
+    """
+    if max_duration_seconds <= 0.0:
+        raise DataError(
+            f"max_duration_seconds must be positive, got {max_duration_seconds}"
+        )
+    times = np.asarray(timestamps, dtype=np.float64)
+    lengths = np.diff(np.asarray(user_offsets, dtype=np.int64))
+    firsts = np.asarray(user_offsets[:-1], dtype=np.int64)[lengths > 0]
+    lengths = lengths[lengths > 0]
+    if not firsts.size:
+        return firsts
+    ends = firsts + lengths
+    row_user = np.repeat(np.arange(firsts.size), lengths)
+
+    gap = np.empty(times.size, dtype=np.float64)
+    # Infinite timestamps make inf - inf steps: NaN, flagged just below.
+    with np.errstate(invalid="ignore", over="ignore"):
+        np.subtract(times[1:], times[:-1], out=gap[1:])
+        gap[firsts] = 0.0
+        # ``not >=`` also flags NaN steps, which the gap rule cannot judge.
+        unsorted = np.logical_or.reduceat(~(gap >= 0.0), firsts)
+        fast = gap > max_duration_seconds
+        fast[firsts] = True
+        fast &= ~unsorted[row_user]
+        runs = np.flatnonzero(fast)
+        run_ends = np.minimum(
+            np.append(runs[1:], times.size), ends[row_user[runs]]
+        )
+        long_runs = times[run_ends - 1] - times[runs] > max_duration_seconds
+
+    found = [runs, firsts[unsorted]]
+    walks = list(zip(runs[long_runs].tolist(), run_ends[long_runs].tolist()))
+    walks += zip(firsts[unsorted].tolist(), ends[unsorted].tolist())
+    values = times.tolist() if walks else []
+    for begin, end in walks:
+        first = values[begin]
+        split: list[int] = []
+        for position in range(begin + 1, end):
+            if values[position] - first > max_duration_seconds:
+                split.append(position)
+                first = values[position]
+        found.append(np.asarray(split, dtype=np.int64))
+    return np.sort(np.concatenate(found))
 
 
 def sessionize_dataset(

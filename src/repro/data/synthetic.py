@@ -393,16 +393,14 @@ def materialize_synthetic_store(
             block_users, config, world, cdfs, generator
         )
         offsets = np.concatenate(([0], np.cumsum(counts)))
-        for local in range(block_users):
-            rows = slice(int(offsets[local]), int(offsets[local + 1]))
-            assert int(user_index[rows.start]) == local  # row order invariant
-            locs = locations[rows]
-            writer.append(
-                first_user + local,
-                locs,
-                timestamps[rows],
-                world.latitude[locs],
-                world.longitude[locs],
-            )
+        assert np.all(user_index[offsets[:-1]] == np.arange(block_users))
+        writer.append_block(
+            np.arange(first_user, first_user + block_users),
+            offsets,
+            locations,
+            timestamps,
+            world.latitude[locations],
+            world.longitude[locations],
+        )
         first_user += block_users
     return writer.finalize()

@@ -48,15 +48,51 @@ def pairs_from_sequences(
 ) -> np.ndarray:
     """Stack the window pairs of many trajectories into an ``(n, 2)`` array.
 
-    Returns an empty ``(0, 2)`` int array when no pairs exist (all
-    sequences shorter than 2).
+    Row for row the pairs :func:`pairs_from_sequence` lists for each
+    trajectory in turn, built with array passes instead of a Python loop
+    per pair. Returns an empty ``(0, 2)`` int array when no pairs exist
+    (all sequences shorter than 2).
     """
-    all_pairs: list[tuple[int, int]] = []
+    lengths: list[int] = []
+    tokens: list[int] = []
     for sequence in sequences:
-        all_pairs.extend(pairs_from_sequence(sequence, window))
-    if not all_pairs:
+        if window < 1:
+            raise ConfigError(f"window must be >= 1, got {window}")
+        lengths.append(len(sequence))
+        tokens.extend(sequence)
+    counts = np.asarray(lengths, dtype=np.int64)
+    if not window_pair_counts(counts, window).any():
         return np.empty((0, 2), dtype=np.int64)
-    return np.asarray(all_pairs, dtype=np.int64)
+    flat = np.asarray(tokens, dtype=np.int64)
+    # Per position: the clipped window [low, high) of its own trajectory.
+    ends = np.cumsum(counts)
+    end = np.repeat(ends, counts)
+    start = end - np.repeat(counts, counts)
+    position = np.arange(flat.size, dtype=np.int64)
+    low = np.maximum(start, position - window)
+    high = np.minimum(end, position + window + 1)
+    per_target = high - low - 1
+    # The k-th context of a target is low + k, stepping over the target.
+    first = np.cumsum(per_target) - per_target
+    context = np.arange(int(per_target.sum()), dtype=np.int64)
+    context += np.repeat(low - first, per_target)
+    context += context >= np.repeat(position, per_target)
+    pairs = np.empty((context.size, 2), dtype=np.int64)
+    pairs[:, 0] = np.repeat(flat, per_target)
+    pairs[:, 1] = flat[context]
+    return pairs
+
+
+def window_pair_counts(lengths: np.ndarray, window: int) -> np.ndarray:
+    """Pair counts of trajectories of the given lengths, without the pairs.
+
+    A trajectory of length ``L`` has ``L - d`` position pairs at distance
+    ``d``, each listed in both directions, for every ``d`` up to
+    ``min(window, L - 1)``; this sums that in closed form.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    reach = np.clip(lengths - 1, 0, window)
+    return reach * (2 * lengths - reach - 1)
 
 
 class BatchIterator:

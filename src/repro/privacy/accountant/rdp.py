@@ -36,6 +36,7 @@ DEFAULT_RDP_ORDERS: tuple[float, ...] = tuple(
 )
 
 _LOG_SERIES_CUTOFF = -40.0  # stop the fractional series once terms are ~e-40
+_LOG_HALF = math.log(0.5)
 
 
 def _log_add(log_a: float, log_b: float) -> float:
@@ -58,8 +59,8 @@ def _log_sub(log_a: float, log_b: float) -> float:
     return log_a + math.log1p(-math.exp(log_b - log_a))
 
 
-def _log_erfc(x: float) -> float:
-    """Stable ``log(erfc(x))`` valid far into both tails."""
+def _log_erfc(x):
+    """Stable ``log(erfc(x))`` valid far into both tails (elementwise)."""
     return math.log(2.0) + special.log_ndtr(-x * math.sqrt(2.0))
 
 
@@ -99,6 +100,11 @@ def _compute_log_a_frac(q: float, sigma: float, alpha: float) -> float:
     The infinite series converges because its terms decay super-linearly;
     we truncate once both current terms fall below ``exp(_LOG_SERIES_CUTOFF)``
     relative weight.
+
+    The terms are computed a block at a time with array ufuncs, which
+    round exactly like the scalar expressions they replace; only the
+    running log-sum, whose order fixes the result's bits, is folded one
+    term at a time.
     """
     log_a0 = -math.inf  # first series (mass to the left of z0)
     log_a1 = -math.inf  # second series (mass to the right of z0)
@@ -106,36 +112,51 @@ def _compute_log_a_frac(q: float, sigma: float, alpha: float) -> float:
     log_q = math.log(q)
     log_1mq = math.log1p(-q)
     sqrt2sigma = math.sqrt(2.0) * sigma
+    two_sigma_sq = 2.0 * sigma**2
+    if two_sigma_sq == 0.0:  # the scalar loop's first division raised here
+        raise ZeroDivisionError("float division by zero")
 
-    i = 0
+    start, size = 0, 256
     while True:
-        coef = special.binom(alpha, i)
-        if coef == 0.0 and i > alpha:
-            break
-        log_coef = math.log(abs(coef)) if coef != 0.0 else -math.inf
-        j = alpha - i
-
-        log_t0 = log_coef + i * log_q + j * log_1mq
-        log_t1 = log_coef + j * log_q + i * log_1mq
-
-        log_e0 = math.log(0.5) + _log_erfc((i - z0) / sqrt2sigma)
-        log_e1 = math.log(0.5) + _log_erfc((z0 - j) / sqrt2sigma)
-
-        log_s0 = log_t0 + (i * i - i) / (2.0 * sigma**2) + log_e0
-        log_s1 = log_t1 + (j * j - j) / (2.0 * sigma**2) + log_e1
-
-        if coef > 0.0:
-            log_a0 = _log_add(log_a0, log_s0)
-            log_a1 = _log_add(log_a1, log_s1)
-        else:
-            log_a0 = _log_sub(log_a0, log_s0)
-            log_a1 = _log_sub(log_a1, log_s1)
-
-        i += 1
-        if max(log_s0, log_s1) < _LOG_SERIES_CUTOFF and i > alpha:
-            break
-
-    return _log_add(log_a0, log_a1)
+        i = np.arange(start, start + size, dtype=np.int64)
+        # Python-float semantics: inf - inf is a silent NaN, as in scalars.
+        with np.errstate(all="ignore"):
+            coef = special.binom(alpha, i)
+            log_coef = np.array(
+                [math.log(abs(c)) if c != 0.0 else -math.inf for c in coef.tolist()]
+            )
+            j = alpha - i
+            log_t0 = log_coef + i * log_q + j * log_1mq
+            log_t1 = log_coef + j * log_q + i * log_1mq
+            log_e0 = _LOG_HALF + _log_erfc((i - z0) / sqrt2sigma)
+            log_e1 = _LOG_HALF + _log_erfc((z0 - j) / sqrt2sigma)
+            log_s0 = log_t0 + (i * i - i) / two_sigma_sq + log_e0
+            log_s1 = log_t1 + (j * j - j) / two_sigma_sq + log_e1
+            # Stop before a zero coefficient past alpha, or after a term
+            # whose parts both fell below the cutoff (with i + 1 > alpha).
+            stop_before = (coef == 0.0) & (i > alpha)
+            stop_after = (
+                np.where(log_s1 > log_s0, log_s1, log_s0) < _LOG_SERIES_CUTOFF
+            ) & (i + 1 > alpha)
+        stops = np.flatnonzero(stop_before | stop_after)
+        count = size
+        if stops.size:
+            count = int(stops[0]) + (0 if stop_before[stops[0]] else 1)
+        for s0, s1, positive in zip(
+            log_s0[:count].tolist(),
+            log_s1[:count].tolist(),
+            (coef[:count] > 0.0).tolist(),
+        ):
+            if positive:
+                log_a0 = _log_add(log_a0, s0)
+                log_a1 = _log_add(log_a1, s1)
+            else:
+                log_a0 = _log_sub(log_a0, s0)
+                log_a1 = _log_sub(log_a1, s1)
+        if stops.size:
+            return _log_add(log_a0, log_a1)
+        start += size
+        size = min(4 * size, 1 << 16)
 
 
 def _rdp_single_order(q: float, sigma: float, alpha: float) -> float:

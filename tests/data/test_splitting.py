@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.splitting import (
     SIX_HOURS_SECONDS,
     holdout_users_split,
+    session_starts,
     sessionize,
     sessionize_dataset,
 )
@@ -101,3 +107,52 @@ class TestHoldoutSplit:
             holdout_users_split(small_dataset, 0)
         with pytest.raises(DataError):
             holdout_users_split(small_dataset, small_dataset.num_users)
+
+
+_TIMES = st.one_of(
+    st.floats(0.0, 30.0),
+    st.sampled_from([0.0, 10.0, 10.0 + 1e-12, math.inf, -math.inf, math.nan]),
+)
+
+
+class TestSessionStarts:
+    """The flat-array split starts exactly the trajectories sessionize makes."""
+
+    @given(
+        histories=st.lists(
+            st.tuples(st.lists(_TIMES, max_size=10), st.booleans()), max_size=6
+        ),
+        limit=st.sampled_from([1.0, 2.5, 10.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_sessionize(self, histories, limit):
+        times: list[float] = []
+        offsets = [0]
+        expected: list[int] = []
+        for user, (raw, sort) in enumerate(histories):
+            stamps = sorted(raw, key=lambda t: (math.isnan(t), t)) if sort else raw
+            history = UserHistory(
+                user=user,
+                checkins=[
+                    CheckIn(user=user, location=0, timestamp=t) for t in stamps
+                ],
+            )
+            for trajectory in sessionize(history, limit):
+                expected.append(len(times))
+                times.extend(trajectory.timestamps)
+            offsets.append(len(times))
+        starts = session_starts(
+            np.array(times, dtype=np.float64), np.array(offsets), limit
+        )
+        assert starts.dtype == np.int64
+        assert starts.tolist() == expected
+
+    def test_long_run_without_gaps_is_walked(self):
+        # Hourly check-ins: no single gap exceeds 6h, the span does.
+        times = np.arange(20, dtype=np.float64) * 3600.0
+        starts = session_starts(times, np.array([0, 20]))
+        assert starts.tolist() == [0, 7, 14]
+
+    def test_rejects_non_positive_limit(self):
+        with pytest.raises(DataError):
+            session_starts(np.zeros(2), np.array([0, 2]), 0.0)

@@ -12,6 +12,7 @@ from repro.models.windowing import (
     BatchIterator,
     pairs_from_sequence,
     pairs_from_sequences,
+    window_pair_counts,
 )
 
 
@@ -72,6 +73,32 @@ class TestPairsFromSequences:
         pairs = pairs_from_sequences([[1]], window=2)
         assert pairs.shape == (0, 2)
         assert pairs.dtype == np.int64
+
+    def test_rejects_window_zero(self):
+        with pytest.raises(ConfigError):
+            pairs_from_sequences([[1, 2]], window=0)
+
+    @given(
+        sequences=st.lists(
+            st.lists(st.integers(0, 9), max_size=12), max_size=6
+        ),
+        window=st.integers(1, 5),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rows_are_the_per_sequence_pairs_in_order(self, sequences, window):
+        expected = [
+            pair for sequence in sequences
+            for pair in pairs_from_sequence(sequence, window)
+        ]
+        pairs = pairs_from_sequences(sequences, window)
+        assert pairs.dtype == np.int64 and pairs.shape == (len(expected), 2)
+        assert [tuple(row) for row in pairs.tolist()] == expected
+        lengths = np.array([len(sequence) for sequence in sequences], dtype=np.int64)
+        counts = window_pair_counts(lengths, window)
+        assert counts.tolist() == [
+            len(pairs_from_sequence(sequence, window)) if sequence else 0
+            for sequence in sequences
+        ]
 
 
 class TestBatchIterator:

@@ -17,11 +17,13 @@ from hypothesis import strategies as st
 from repro.exceptions import ConfigError
 from repro.privacy.accountant.rdp import (
     DEFAULT_RDP_ORDERS,
+    _compute_log_a_frac,
     compute_epsilon,
     compute_rdp_sampled_gaussian,
     epsilon_curve,
     rdp_to_epsilon,
 )
+from tests.privacy.scalar_rdp_reference import scalar_log_a_frac
 
 
 class TestRdpClosedForms:
@@ -147,3 +149,42 @@ class TestEpsilonCurve:
     def test_matches_pointwise_computation(self):
         curve = dict(epsilon_curve(0.06, 2.5, [50], 2e-4))
         assert curve[50] == pytest.approx(compute_epsilon(0.06, 2.5, 50, 2e-4), rel=1e-9)
+
+
+class TestFractionalSeriesBlocks:
+    """The block-computed series adds the same terms as the scalar loop."""
+
+    # Short series, series that stop inside the first block, and (small
+    # sigma, orders near 1) series of tens of thousands of terms that run
+    # through several blocks of every size.
+    @pytest.mark.parametrize(
+        "q,sigma",
+        [(0.01, 1.1), (0.004, 4.0), (0.05, 8.0), (0.1, 0.7), (0.3, 0.5), (0.9, 2.0)],
+    )
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 2.5, 7.7, 20.5, 100.5])
+    def test_bitwise_equal_to_scalar_loop(self, q, sigma, alpha):
+        planned = _compute_log_a_frac(q, sigma, alpha)
+        oracle = scalar_log_a_frac(q, sigma, alpha)
+        assert math.isfinite(oracle)
+        assert planned.hex() == float(oracle).hex()
+
+    # Tiny q: both terms fall below the cutoff right at i = floor(alpha),
+    # so these pin the exact term the series stops after.
+    @pytest.mark.parametrize(
+        "q,sigma,alpha",
+        [(1e-4, 1.0, 10.5), (1e-4, 2.0, 5.5), (1e-5, 0.8, 5.5), (1e-8, 0.5, 5.5)],
+    )
+    def test_stops_after_the_same_term(self, q, sigma, alpha):
+        planned = _compute_log_a_frac(q, sigma, alpha)
+        assert planned.hex() == float(scalar_log_a_frac(q, sigma, alpha)).hex()
+
+    @given(
+        q=st.floats(1e-4, 0.95),
+        sigma=st.floats(0.6, 20.0),
+        alpha=st.floats(1.01, 60.0).filter(lambda a: not a.is_integer()),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_parameters_match_scalar_loop(self, q, sigma, alpha):
+        planned = _compute_log_a_frac(q, sigma, alpha)
+        oracle = scalar_log_a_frac(q, sigma, alpha)
+        assert np.float64(planned).tobytes() == np.float64(oracle).tobytes()
