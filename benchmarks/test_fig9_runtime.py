@@ -100,13 +100,13 @@ def test_fig9_parallel_executor_speedup(benchmark, workload):
 
     def compare():
         serial = mean_step_seconds("serial")
-        parallel = mean_step_seconds("parallel")
+        parallel = mean_step_seconds("sharded")
         return [[steps, serial, parallel, serial / parallel]]
 
     rows = benchmark.pedantic(compare, rounds=1, iterations=1)
     write_table(
         "fig9_parallel_speedup",
-        f"Parallel bucket executor: mean per-step wall time vs serial "
+        f"Process-pool bucket executor: mean per-step wall time vs serial "
         f"(lambda=1, q=0.10, {steps} steps, scale={workload.scale.name}, "
         f"cpus={os.cpu_count()})",
         ["steps", "serial_step_s", "parallel_step_s", "speedup"],

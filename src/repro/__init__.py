@@ -68,6 +68,7 @@ from repro.core import (
     PLPConfig,
     PrivateLocationPredictor,
     SerialExecutor,
+    ShardedExecutor,
     StepObserver,
     TrainingEngine,
     UserLevelDPSGD,
@@ -145,6 +146,7 @@ __all__ = [
     "TrainingEngine",
     "BucketExecutor",
     "SerialExecutor",
+    "ShardedExecutor",
     "ParallelExecutor",
     "StepObserver",
     # data

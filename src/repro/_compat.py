@@ -4,7 +4,9 @@ Three shim families used to be copy-pasted around the codebase — the
 ``StepObserver`` / ``ServingObserver`` class aliases and the CLI /
 :class:`~repro.core.config.PLPConfig` keyword-alias tables. They now all
 route through this module so the warning wording, the ``DeprecationWarning``
-category, and the removal policy live in exactly one place.
+category, and the removal policy live in exactly one place. Class aliases
+(the observers, and ``ParallelExecutor`` for the process pool) are built
+by :func:`deprecated_class_alias`.
 
 Removal policy
 --------------
@@ -94,37 +96,34 @@ def resolve_alias(
     return canonical
 
 
-def deprecated_observer_alias(
-    name: str, module: str, replacement: str = "repro.observability.Observer"
+def deprecated_class_alias(
+    name: str, module: str, target: type, replacement: str
 ) -> type:
-    """Build a deprecated alias class of the unified ``Observer`` base.
+    """Build a deprecated alias class of ``target``.
 
-    The returned class warns on subclassing (``__init_subclass__``) and on
-    direct instantiation, exactly like the historical hand-written
-    ``StepObserver`` / ``ServingObserver`` shims it replaces. The alias is
-    registered in :data:`DEPRECATIONS` under ``module.name``.
+    The returned subclass warns on subclassing (``__init_subclass__``) and
+    on direct instantiation, then behaves exactly like ``target``. The
+    alias is registered in :data:`DEPRECATIONS` under ``module.name``.
     """
-    from repro.observability.observer import Observer
-
     register_deprecation(f"{module}.{name}", replacement)
 
     def __init_subclass__(cls, **kwargs: object) -> None:
         warn_deprecated(name, replacement, verb="subclass", stacklevel=3)
         super(alias, cls).__init_subclass__(**kwargs)  # type: ignore[misc]
 
-    def __init__(self: object) -> None:
+    def __init__(self: object, *args: object, **kwargs: object) -> None:
         if type(self) is alias:
             warn_deprecated(name, replacement, stacklevel=2)
+        super(alias, self).__init__(*args, **kwargs)  # type: ignore[misc]
 
     alias = type(
         name,
-        (Observer,),
+        (target,),
         {
             "__doc__": (
                 f"Deprecated alias of :class:`{replacement}`.\n\n"
-                f"    Kept so pre-observability code importing "
-                f"``{module}.{name}``\n    keeps working; new code should "
-                f"subclass the unified\n    :class:`{replacement}`. "
+                f"    Kept so code importing ``{module}.{name}`` keeps "
+                f"working; new code\n    should use :class:`{replacement}`. "
                 f"Subclassing or instantiating this alias emits a\n"
                 f"    :class:`DeprecationWarning` "
                 f"(see :mod:`repro._compat` for the removal policy)."

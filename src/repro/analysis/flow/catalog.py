@@ -187,7 +187,6 @@ SHARED_STATE_CLASSES: frozenset[str] = frozenset(
         "PrivacyLedger",
         "MicroBatcher",
         "SerialExecutor",
-        "ParallelExecutor",
         "ShardedExecutor",
         "StepPipeline",
         "ShardedCheckinStore",

@@ -7,7 +7,7 @@ site is covered regardless of how a function was imported):
 
 - **RNG draw sites** — :mod:`repro.rng`'s ``spawn`` / ``derive`` calls
   are recorded into a :class:`DrawLog`, letting tests assert per-round
-  draw determinism across serial/parallel/sharded executors.
+  draw determinism across the serial executor and the process pool.
 - **Single-writer state** — the classes DPL007 accepts on the strength
   of a "single-writer" docstring (:class:`~repro.privacy.accountant.
   ledger.PrivacyLedger`, :class:`~repro.core.engine.stages.StepPipeline`,

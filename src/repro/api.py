@@ -179,8 +179,9 @@ def train(
             spans and ``repro_engine_*`` metrics into it. Attaching one
             never changes the trained model or the ledger.
         **engine_options: forwarded to the trainer — ``executor``
-            (``"serial"``, ``"parallel"``, or the out-of-core
-            ``"sharded"``), ``workers``, ``observers``.
+            (``"serial"`` or the process pool ``"sharded"``; ``"parallel"``
+            is a deprecated alias of ``"sharded"``), ``workers``,
+            ``observers``.
     """
     if method not in _METHODS:
         raise ConfigError(f"method must be one of {_METHODS}, got {method!r}")

@@ -84,6 +84,8 @@ _DEPRECATED_ALIASES = {
 for _old, _new in _DEPRECATED_ALIASES.items():
     register_deprecation(f"repro train {_old}", _new)
 
+register_deprecation("repro train --executor parallel", "--executor sharded")
+
 register_deprecation(
     "repro serve --model PATH",
     "repro serve PATH (positional; NAME=PATH to host many) with "
@@ -104,6 +106,14 @@ class _DeprecatedAlias(argparse.Action):
         )
         warn_deprecated(option_string or "this flag", replacement, stacklevel=1)
         setattr(namespace, self.dest, values)
+
+
+def _executor_name(value: str) -> str:
+    """``--executor`` type: maps the retired ``parallel`` name, warning."""
+    if value == "parallel":
+        warn_deprecated("--executor parallel", "--executor sharded", stacklevel=1)
+        return "sharded"
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -193,19 +203,19 @@ def _build_parser() -> argparse.ArgumentParser:
     train.add_argument("--seed", type=int, default=7)
     train.add_argument(
         "--executor",
-        choices=("serial", "parallel", "sharded"),
+        type=_executor_name,
+        choices=("serial", "sharded"),
         default="serial",
-        help="bucket execution backend: serial, parallel (process pool "
-        "over materialized pairs), or sharded (persistent workers "
-        "streaming pairs from the corpus store; the out-of-core "
-        "backend). Results are bit-identical across all three.",
+        help="bucket execution backend: serial, or sharded (the process "
+        "pool: workers resolve each bucket's pairs from the corpus when "
+        "omega is 1, otherwise receive them). Results are bit-identical "
+        "across both. 'parallel' is a deprecated alias of sharded.",
     )
     train.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="worker processes for --executor parallel/sharded "
-        "(default: all cores)",
+        help="worker processes for --executor sharded (default: all cores)",
     )
     train.add_argument(
         "--shard-dir",
@@ -488,10 +498,9 @@ def _resolve_train_corpus(args: argparse.Namespace) -> "CheckinDataset | Checkin
             without a multi-process executor, ``--shard-dir`` without
             ``--synthetic --executor sharded``).
     """
-    if args.workers is not None and args.executor not in ("parallel", "sharded"):
+    if args.workers is not None and args.executor != "sharded":
         raise ConfigError(
-            "--workers only applies to --executor parallel or sharded, "
-            f"not {args.executor!r}"
+            f"--workers only applies to --executor sharded, not {args.executor!r}"
         )
     if args.shard_dir is not None:
         if args.executor != "sharded":

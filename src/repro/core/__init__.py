@@ -41,6 +41,7 @@ from repro.core.engine import (
     JsonlMetricsObserver,
     ParallelExecutor,
     SerialExecutor,
+    ShardedExecutor,
     StepObserver,
     StepPipeline,
     StepResult,
@@ -57,6 +58,7 @@ __all__ = [
     "StepResult",
     "BucketExecutor",
     "SerialExecutor",
+    "ShardedExecutor",
     "ParallelExecutor",
     "make_executor",
     "StepObserver",

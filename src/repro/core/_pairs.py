@@ -145,9 +145,8 @@ class PairSource(abc.ABC):
     def spec(self) -> "PairSourceSpec | None":
         """A picklable recipe rebuilding this source in another process.
 
-        Returns ``None`` when the source cannot be shipped (the sharded
-        executor then refuses the run with a :class:`ConfigError` rather
-        than silently serializing the world).
+        Returns ``None`` when the source cannot be shipped; the process
+        pool then receives each bucket's materialized pairs instead.
         """
         return None
 

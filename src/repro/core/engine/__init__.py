@@ -6,10 +6,11 @@ Three layers, composed by the trainers in :mod:`repro.core`:
   explicit pipeline ``sample -> group -> local_train -> aggregate ->
   noise -> apply -> account``, each stage returning a typed result.
 - **Executors** (:mod:`~repro.core.engine.executors`): pluggable bucket
-  execution backends — :class:`SerialExecutor`, the process-pool
-  :class:`ParallelExecutor`, and the out-of-core :class:`ShardedExecutor`
-  (user ids + theta over the wire, pairs resolved worker-side) — all
-  bit-identical for the same seed.
+  execution backends — the in-process :class:`SerialExecutor` and the
+  process pool :class:`ShardedExecutor` (user ids + theta over the wire
+  with pairs resolved worker-side when the source allows it, otherwise
+  materialized pairs) — bit-identical for the same seed.
+  ``ParallelExecutor`` remains as a deprecated alias of the pool.
 - **Observers** (:mod:`~repro.core.engine.observers`): callbacks carrying
   history recording, stop conditions, evaluation scheduling, JSONL
   metrics, and checkpointing. Their base class is the unified
@@ -31,7 +32,6 @@ from repro.core.engine.executors import (
     ShardedExecutor,
     make_executor,
     run_bucket_chunk,
-    run_bucket_job,
 )
 from repro.core.engine.observers import (
     BudgetStopObserver,
@@ -75,7 +75,6 @@ __all__ = [
     "LocalTrainSpec",
     "make_executor",
     "run_bucket_chunk",
-    "run_bucket_job",
     "Observer",
     "StepObserver",
     "HistoryObserver",

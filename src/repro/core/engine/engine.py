@@ -8,10 +8,12 @@ and notifies observers. Observers own every policy decision: what to
 record, when to evaluate, and when to stop (via
 :meth:`EngineContext.request_stop`).
 
-Observability: when an :class:`~repro.observability.Observability` bundle
-is attached, every step runs inside an ``engine.step`` span with one child
-span per stage (``engine.stage.sample`` ... ``engine.stage.account``), and
-the bundle's registry receives per-stage/per-bucket timing metrics
+Observability: every step runs inside an ``engine.step`` span with one
+child span per stage (``engine.stage.sample`` ... ``engine.stage.account``)
+through one stage sequence. Without an attached
+:class:`~repro.observability.Observability` bundle the handle is a
+component-less one whose spans are no-ops; with one, the bundle records
+the spans and its registry receives per-stage/per-bucket timing metrics
 (``repro_engine_*``). Instrumentation is read-only and draw-free: a run
 with observability attached is bit-identical to the same run without it.
 
@@ -26,18 +28,19 @@ step per run.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Sequence
+from contextlib import contextmanager
+from typing import Any, Iterator, Sequence
+
+import numpy as np
 
 from repro.core.engine.executors import BucketExecutor, SerialExecutor
 from repro.core.engine.stages import StepPipeline, StepResult
 from repro.core.schedules import NoiseSchedule
 from repro.models.embeddings import EmbeddingMatrix
 from repro.models.skipgram import EMBEDDING
+from repro.observability.hooks import EngineMetrics, Observability
 from repro.observability.observer import Observer
 from repro.rng import derive
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.observability.hooks import Observability
 
 #: Stage names, in Algorithm 1 order, as used for spans and metric labels.
 STAGE_NAMES = (
@@ -99,26 +102,31 @@ class EngineContext:
 
 
 class _StageClock:
-    """Times each stage of one step; the per-step metric payload.
+    """Spans and times each stage of one step; the per-step metric payload.
 
     A stage timed more than once in a step (``account`` covers the budget
     preview before ``apply`` and the accounting after it) sums its parts.
     """
 
-    __slots__ = ("seconds", "_started", "_name")
+    __slots__ = ("seconds", "_obs", "_step")
 
-    def __init__(self) -> None:
+    def __init__(self, obs: Observability, step: int) -> None:
         self.seconds: dict[str, float] = {}
-        self._started = 0.0
-        self._name = ""
+        self._obs = obs
+        self._step = step
 
-    def start(self, name: str) -> None:
-        self._name = name
-        self._started = time.perf_counter()
-
-    def stop(self) -> None:
-        elapsed = time.perf_counter() - self._started
-        self.seconds[self._name] = self.seconds.get(self._name, 0.0) + elapsed
+    @contextmanager
+    def stage(
+        self, name: str, span: str | None = None, **attributes: Any
+    ) -> Iterator[None]:
+        """Run a block as stage ``name`` (span ``engine.stage.<name>``)."""
+        with self._obs.span(
+            span or f"engine.stage.{name}", step=self._step, **attributes
+        ):
+            started = time.perf_counter()
+            yield
+            elapsed = time.perf_counter() - started
+        self.seconds[name] = self.seconds.get(name, 0.0) + elapsed
 
 
 class TrainingEngine:
@@ -162,18 +170,21 @@ class TrainingEngine:
         config = pipeline.config
         context = EngineContext(pipeline)
         context.step = self.start_step
-        obs = self.observability
+        # Without a bundle, a component-less handle: its spans are no-ops.
+        obs = (
+            self.observability
+            if self.observability is not None
+            else Observability()
+        )
         # Pre-run handshake: the pipeline adapts its materialization mode
-        # to the executor (and hands sharded executors their pair-source
+        # to the executor (and hands process pools their pair-source
         # spec); the executor gets the run's observability for per-shard
         # spans/metrics. Neither touches any RNG stream.
         pipeline.prepare_for(self.executor)
         self.executor.bind_observability(obs)
-        engine_metrics = None
-        if obs is not None and obs.metrics is not None:
-            from repro.observability.hooks import EngineMetrics
-
-            engine_metrics = EngineMetrics(obs.metrics)
+        engine_metrics = (
+            EngineMetrics(obs.metrics) if obs.metrics is not None else None
+        )
         while not context.stop_requested:
             step = context.step + 1
             context.step = step
@@ -192,13 +203,13 @@ class TrainingEngine:
             # randomness a pure function of (root seed, t).
             step_rng = derive(pipeline.root, step)
 
-            result = (
-                self._run_stages(context, step, sigma, step_rng, started)
-                if obs is None
-                else self._run_stages_observed(
-                    context, step, sigma, step_rng, started, obs, engine_metrics
+            clock = _StageClock(obs, step)
+            with obs.span("engine.step", step=step):
+                result = self._run_stages(
+                    context, step, sigma, step_rng, started, clock
                 )
-            )
+            if engine_metrics is not None:
+                engine_metrics.record_step(result, clock.seconds)
             for observer in self.observers:
                 observer.on_step_end(context, result)
 
@@ -214,22 +225,37 @@ class TrainingEngine:
         context: EngineContext,
         step: int,
         sigma: float,
-        step_rng: "object",
+        step_rng: np.random.Generator,
         started: float,
+        clock: _StageClock,
     ) -> StepResult:
-        """One step's stage sequence (the uninstrumented fast path)."""
+        """One step's stage sequence, each stage spanned and timed.
+
+        The spans and clock only measure wall time: they touch neither the
+        RNG streams nor any training state.
+        """
         pipeline = self.pipeline
-        sample = pipeline.sample(step_rng)  # type: ignore[arg-type]
-        group = pipeline.group(sample, step_rng)  # type: ignore[arg-type]
-        local = pipeline.local_train(step, group, self.executor)
+        with clock.stage("sample"):
+            sample = pipeline.sample(step_rng)
+        with clock.stage("group"):
+            group = pipeline.group(sample, step_rng)
+        with clock.stage("local_train", num_buckets=group.num_buckets):
+            local = pipeline.local_train(step, group, self.executor)
         for update in local.updates:
             for observer in self.observers:
                 observer.on_bucket_done(context, step, update)
-        aggregate = pipeline.aggregate(local)
-        noise = pipeline.noise(aggregate, sigma, step_rng)  # type: ignore[arg-type]
-        snapshot_needed = pipeline.budget_would_cross(sigma)
-        applied = pipeline.apply(aggregate, snapshot_needed=snapshot_needed)
-        account = pipeline.account(sigma)
+        with clock.stage("aggregate"):
+            aggregate = pipeline.aggregate(local)
+        with clock.stage("noise"):
+            noise = pipeline.noise(aggregate, sigma, step_rng)
+        # The ledger preview is accounting work: it is billed to the
+        # account stage, not to apply, which only consumes its answer.
+        with clock.stage("account", span="engine.stage.account.preview"):
+            snapshot_needed = pipeline.budget_would_cross(sigma)
+        with clock.stage("apply"):
+            applied = pipeline.apply(aggregate, snapshot_needed=snapshot_needed)
+        with clock.stage("account"):
+            account = pipeline.account(sigma)
         return StepResult(
             step=step,
             sample=sample,
@@ -241,81 +267,3 @@ class TrainingEngine:
             account=account,
             wall_time_seconds=time.perf_counter() - started,
         )
-
-    def _run_stages_observed(
-        self,
-        context: EngineContext,
-        step: int,
-        sigma: float,
-        step_rng: "object",
-        started: float,
-        obs: "Observability",
-        engine_metrics: "object",
-    ) -> StepResult:
-        """The same stage sequence, wrapped in spans + timing metrics.
-
-        Identical math to :meth:`_run_stages` — the only additions are
-        wall-clock measurements and span bookkeeping, neither of which
-        touches the RNG streams or any training state.
-        """
-        pipeline = self.pipeline
-        clock = _StageClock()
-        with obs.span("engine.step", step=step):
-            with obs.span("engine.stage.sample", step=step):
-                clock.start("sample")
-                sample = pipeline.sample(step_rng)  # type: ignore[arg-type]
-                clock.stop()
-            with obs.span("engine.stage.group", step=step):
-                clock.start("group")
-                group = pipeline.group(sample, step_rng)  # type: ignore[arg-type]
-                clock.stop()
-            with obs.span(
-                "engine.stage.local_train",
-                step=step,
-                num_buckets=group.num_buckets,
-            ):
-                clock.start("local_train")
-                local = pipeline.local_train(step, group, self.executor)
-                clock.stop()
-            for update in local.updates:
-                for observer in self.observers:
-                    observer.on_bucket_done(context, step, update)
-            with obs.span("engine.stage.aggregate", step=step):
-                clock.start("aggregate")
-                aggregate = pipeline.aggregate(local)
-                clock.stop()
-            with obs.span("engine.stage.noise", step=step):
-                clock.start("noise")
-                noise = pipeline.noise(aggregate, sigma, step_rng)  # type: ignore[arg-type]
-                clock.stop()
-            # The ledger preview is accounting work: it is billed to the
-            # account stage, not to apply, which only consumes its answer.
-            with obs.span("engine.stage.account.preview", step=step):
-                clock.start("account")
-                snapshot_needed = pipeline.budget_would_cross(sigma)
-                clock.stop()
-            with obs.span("engine.stage.apply", step=step):
-                clock.start("apply")
-                applied = pipeline.apply(aggregate, snapshot_needed=snapshot_needed)
-                clock.stop()
-            with obs.span("engine.stage.account", step=step):
-                clock.start("account")
-                account = pipeline.account(sigma)
-                clock.stop()
-        result = StepResult(
-            step=step,
-            sample=sample,
-            group=group,
-            local_train=local,
-            aggregate=aggregate,
-            noise=noise,
-            apply=applied,
-            account=account,
-            wall_time_seconds=time.perf_counter() - started,
-        )
-        if engine_metrics is not None:
-            from repro.observability.hooks import EngineMetrics
-
-            assert isinstance(engine_metrics, EngineMetrics)
-            engine_metrics.record_step(result, clock.seconds)
-        return result

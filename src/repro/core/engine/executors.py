@@ -3,20 +3,20 @@
 A :class:`BucketExecutor` runs one step's worth of bucket jobs (Algorithm 1
 lines 7-8: per-bucket local SGD + clipping) and returns the resulting
 :class:`~repro.core.bucket.BucketUpdate` list **in bucket-index order**.
-Three implementations are provided:
+Two implementations are provided:
 
 - :class:`SerialExecutor` — runs buckets in-process, one after another.
-- :class:`ParallelExecutor` — fans buckets out over a persistent
-  :class:`concurrent.futures.ProcessPoolExecutor`; jobs carry their
-  materialized pair arrays.
-- :class:`ShardedExecutor` — the out-of-core backend: persistent workers
-  each rebuild a read-only :class:`~repro.core._pairs.PairSource` from a
-  small picklable spec at pool start, so each round ships only **user ids
-  + the theta snapshot** and streams back clipped float64 bucket deltas.
-  The coordinator stays the single writer for aggregation, noising, and
-  accounting.
+- :class:`ShardedExecutor` — the process pool: persistent workers run
+  contiguous chunks ("shards") of the step's jobs. A job either carries
+  its materialized pair array (*eager*) or only its members' user ids
+  (*deferred*), which workers resolve against a read-only
+  :class:`~repro.core._pairs.PairSource` rebuilt from a small picklable
+  spec at pool start. The pipeline chooses the form per run (see
+  :meth:`~repro.core.engine.stages.StepPipeline.prepare_for`). Either way
+  workers stream back clipped float64 bucket deltas, and the coordinator
+  stays the single writer for aggregation, noising, and accounting.
 
-All are **bit-identical** for the same seed: every bucket job carries its
+Both are **bit-identical** for the same seed: every bucket job carries its
 own pre-derived :class:`numpy.random.SeedSequence` (from
 ``repro.rng.derive_seed_sequence(root, step, bucket_index)``), local
 training never mutates shared state (``theta`` is read-only, see
@@ -25,11 +25,10 @@ the downstream floating-point summation order matches the serial run.
 
 Failure contract: if any bucket job raises, the step fails eagerly with
 :class:`repro.exceptions.ExecutorError` (original exception chained as
-``__cause__``). A *worker death* breaks the whole pool: the serial and
-parallel executors surface it as an ``ExecutorError`` immediately, while
-the sharded executor rebuilds its pool and **retries the round** a bounded
-number of times — safe because jobs are pure functions of their pre-derived
-seeds, so a retry is bit-identical to an undisturbed run.
+``__cause__``). A *worker death* breaks the whole pool: the process pool
+rebuilds it and **retries the round** a bounded number of times — safe
+because jobs are pure functions of their pre-derived seeds, so a retry is
+bit-identical to an undisturbed run.
 """
 
 from __future__ import annotations
@@ -44,12 +43,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro._compat import deprecated_class_alias, register_deprecation, warn_deprecated
 from repro.core._pairs import PairSource, PairSourceSpec
-from repro.core.bucket import (
-    BucketUpdate,
-    model_update_from_bucket,
-    model_updates_from_buckets,
-)
+from repro.core.bucket import BucketUpdate, model_updates_from_buckets
 from repro.core.grouping import build_bucket_arrays
 from repro.exceptions import ConfigError, ExecutorError
 from repro.models.skipgram import SkipGramModel
@@ -84,10 +80,10 @@ class BucketJob:
     where and when the job runs.
 
     The bucket's data travels in one of two forms: ``pairs`` holds the
-    materialized (target, context) array (serial/parallel executors), or
-    ``pairs`` is ``None`` and ``users`` names the bucket's members for a
-    worker-side :class:`~repro.core._pairs.PairSource` to resolve (the
-    sharded executor — only ids cross the process boundary).
+    materialized (target, context) array (an *eager* job), or ``pairs`` is
+    ``None`` and ``users`` names the bucket's members for a worker-side
+    :class:`~repro.core._pairs.PairSource` to resolve (a *deferred* job —
+    only ids cross the process boundary).
     """
 
     index: int
@@ -96,50 +92,18 @@ class BucketJob:
     users: tuple[int, ...] = ()
 
 
-def run_bucket_job(spec: LocalTrainSpec, job: BucketJob) -> BucketUpdate:
-    """Execute one bucket job (the function both executors agree on).
-
-    The job's wall time is stamped onto the returned update
-    (``wall_time_seconds``) so per-bucket timing survives the trip back
-    from worker processes without a side channel.
-    """
-    if job.pairs is None:
-        raise ExecutorError(
-            f"bucket {job.index} carries user ids but no materialized pairs; "
-            "deferred jobs must run through the sharded executor"
-        )
-    started = time.perf_counter()
-    update = model_update_from_bucket(
-        spec.model,
-        spec.model.params,
-        job.pairs,
-        batch_size=spec.batch_size,
-        learning_rate=spec.learning_rate,
-        clip_bound=spec.clip_bound,
-        clipping=spec.clipping,
-        local_update=spec.local_update,
-        # Sanctioned seed-plumbing site: the worker rehydrates the job's
-        # pre-derived SeedSequence (from repro.rng.derive_seed_sequence);
-        # no new stream is created, so bit-identity is preserved.
-        # dplint: disable-next=DPL001 -- documented seed-plumbing site
-        rng=np.random.default_rng(job.seed),
-    )
-    update.wall_time_seconds = time.perf_counter() - started
-    return update
-
-
 def run_bucket_chunk(
     spec: LocalTrainSpec, jobs: list[BucketJob]
 ) -> list[BucketUpdate]:
-    """Run a contiguous chunk of bucket jobs in one backend call.
+    """Run a contiguous chunk of eager bucket jobs in one backend call.
 
     Routes the whole chunk through
     :func:`~repro.core.bucket.model_updates_from_buckets` so backends
     that batch compute across buckets (the fast backend) see every bucket
-    of the chunk at once; the reference backend runs them one by one,
-    bit-identically to :func:`run_bucket_job` in a loop. The chunk's wall
-    time is attributed to the updates proportionally to their batch
-    counts (per-bucket timing without a per-bucket clock).
+    of the chunk at once; the reference backend runs them one by one. The
+    chunk's wall time is attributed to the updates proportionally to their
+    batch counts (per-bucket timing without a per-bucket clock), so it
+    survives the trip back from worker processes without a side channel.
     """
     if not jobs:
         return []
@@ -148,7 +112,7 @@ def run_bucket_chunk(
         if job.pairs is None:
             raise ExecutorError(
                 f"bucket {job.index} carries user ids but no materialized "
-                "pairs; deferred jobs must run through the sharded executor"
+                "pairs; deferred jobs must run through the process pool"
             )
         pair_arrays.append(job.pairs)
     started = time.perf_counter()
@@ -175,21 +139,13 @@ def run_bucket_chunk(
     return updates
 
 
-def _run_bucket_chunk(
-    spec: LocalTrainSpec, jobs: list[BucketJob]
-) -> list[BucketUpdate]:
-    """Worker entry point: run a contiguous chunk of bucket jobs."""
-    return run_bucket_chunk(spec, jobs)
-
-
 class BucketExecutor(abc.ABC):
     """Runs one training step's bucket jobs and gathers the updates."""
 
-    #: Whether this executor needs jobs to carry materialized ``pairs``
-    #: arrays. Executors that resolve pairs worker-side (the sharded one)
-    #: set this False; the pipeline then defers materialization and sends
-    #: user ids instead.
-    needs_materialized_pairs: bool = True
+    #: Whether jobs run in other processes. The pipeline only defers pair
+    #: materialization (ships user ids instead of pairs) for such
+    #: executors, and drops its own mmap handles before their pool forks.
+    out_of_process: bool = False
 
     @abc.abstractmethod
     def run_step(
@@ -201,11 +157,11 @@ class BucketExecutor(abc.ABC):
             ExecutorError: when any job raises or a worker dies.
         """
 
-    def configure(self, source_spec: PairSourceSpec) -> None:
+    def configure(self, source_spec: PairSourceSpec | None) -> None:
         """Receive the run's pair-source spec (pre-run pipeline handshake).
 
-        Only meaningful for executors with ``needs_materialized_pairs``
-        False; the default is a no-op.
+        ``None`` means the run's jobs carry their pairs. Only called on
+        ``out_of_process`` executors; the default is a no-op.
         """
 
     def bind_observability(self, observability: "Observability | None") -> None:
@@ -235,80 +191,7 @@ class SerialExecutor(BucketExecutor):
             ) from error
 
 
-class ParallelExecutor(BucketExecutor):
-    """Process-pool executor: buckets fan out over worker processes.
-
-    Jobs are split into at most ``max_workers`` contiguous chunks — one
-    submission per worker per step — so the per-step overhead is bounded
-    by ``max_workers`` pickled copies of the model snapshot rather than
-    one per bucket. The pool is created lazily and persists across steps.
-
-    Results are identical (bitwise) to :class:`SerialExecutor` for the
-    same jobs: each bucket's randomness comes from its own pre-derived
-    seed, and updates are reassembled in bucket-index order before the
-    order-sensitive floating-point aggregation downstream.
-
-    Concurrency: single-writer. The executor object (pool handle
-    included) is owned by the coordinating trainer thread; worker
-    processes only ever see pickled job payloads.
-
-    Args:
-        max_workers: worker process count (default: ``os.cpu_count()``).
-    """
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ConfigError(f"max_workers must be >= 1, got {max_workers}")
-        self.max_workers = max_workers or (os.cpu_count() or 1)
-        self._pool: ProcessPoolExecutor | None = None
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
-        return self._pool
-
-    def run_step(
-        self, spec: LocalTrainSpec, jobs: list[BucketJob]
-    ) -> list[BucketUpdate]:
-        if not jobs:
-            return []
-        pool = self._ensure_pool()
-        chunks = _chunk_evenly(jobs, self.max_workers)
-        futures = [pool.submit(_run_bucket_chunk, spec, chunk) for chunk in chunks]
-        updates: list[BucketUpdate] = []
-        failure: BaseException | None = None
-        failed_index: int | None = None
-        for chunk, future in zip(chunks, futures):
-            if failure is not None:
-                future.cancel()
-                continue
-            try:
-                updates.extend(future.result())
-            except BrokenProcessPool as error:
-                # The pool is unusable after a worker death; rebuild lazily
-                # on the next step if the caller decides to continue.
-                self.close()
-                raise ExecutorError(
-                    "a worker process died while executing bucket jobs "
-                    f"{chunk[0].index}..{chunk[-1].index}"
-                ) from error
-            except Exception as error:  # noqa: BLE001 - rewrapped with context
-                failure = error
-                failed_index = chunk[0].index
-        if failure is not None:
-            raise ExecutorError(
-                f"a bucket job in chunk starting at bucket {failed_index} "
-                f"failed during local training: {failure}"
-            ) from failure
-        return updates
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-
-
-# Worker-process state of the sharded executor, set once per worker by the
+# Worker-process state of the process pool, set once per worker by the
 # pool initializer. A module-level global (not a closure) because the pool
 # initializer must be a picklable top-level callable.
 _WORKER_SOURCE: PairSource | None = None
@@ -316,11 +199,11 @@ _WORKER_FAULT_MARKER: str | None = None
 
 
 def _init_shard_worker(
-    source_spec: PairSourceSpec, fault_marker: str | None
+    source_spec: PairSourceSpec | None, fault_marker: str | None
 ) -> None:
     """Pool initializer: rebuild the read-only pair source in this worker."""
     global _WORKER_SOURCE, _WORKER_FAULT_MARKER
-    _WORKER_SOURCE = source_spec.build()
+    _WORKER_SOURCE = source_spec.build() if source_spec is not None else None
     _WORKER_FAULT_MARKER = fault_marker
 
 
@@ -341,16 +224,23 @@ def _maybe_inject_fault() -> None:
     os._exit(1)
 
 
-def _resolve_deferred_job(source: PairSource, job: BucketJob) -> BucketJob:
+def _resolve_deferred_job(source: PairSource | None, job: BucketJob) -> BucketJob:
     """Materialize one deferred job's pairs from the worker's source.
 
-    Uses the same :func:`~repro.core.grouping.build_bucket_arrays`
-    concatenation (bucket-member order, empties skipped) as the eager
-    path, so the resulting array is bit-identical to what the coordinator
-    would have shipped.
+    Eager jobs pass through unchanged. Uses the same
+    :func:`~repro.core.grouping.build_bucket_arrays` concatenation
+    (bucket-member order, empties skipped) as the eager path, so the
+    resulting array is bit-identical to what the coordinator would have
+    shipped.
     """
     if job.pairs is not None:
         return job
+    if source is None:
+        raise ExecutorError(
+            f"bucket {job.index} carries user ids but the worker has no pair "
+            "source; run it through the engine (pipeline.prepare_for "
+            "configures the pool before the first step)"
+        )
     member_pairs = {user: source.pairs(user) for user in job.users}
     pairs = build_bucket_arrays([list(job.users)], member_pairs)[0]
     return BucketJob(index=job.index, pairs=pairs, seed=job.seed, users=job.users)
@@ -359,14 +249,9 @@ def _resolve_deferred_job(source: PairSource, job: BucketJob) -> BucketJob:
 def _run_sharded_chunk(
     spec: LocalTrainSpec, jobs: list[BucketJob]
 ) -> list[BucketUpdate]:
-    """Sharded worker entry point: resolve pairs locally, then run."""
+    """Worker entry point: resolve deferred jobs locally, then run."""
     _maybe_inject_fault()
-    source = _WORKER_SOURCE
-    if source is None:
-        raise ExecutorError(
-            "sharded worker has no pair source; the pool initializer did not run"
-        )
-    resolved = [_resolve_deferred_job(source, job) for job in jobs]
+    resolved = [_resolve_deferred_job(_WORKER_SOURCE, job) for job in jobs]
     return run_bucket_chunk(spec, resolved)
 
 
@@ -381,22 +266,30 @@ class _RoundBroken(Exception):
 
 
 class ShardedExecutor(BucketExecutor):
-    """Out-of-core executor: persistent workers over a shared pair source.
+    """Process-pool executor: persistent workers run the step's buckets.
 
     Each round's Poisson-sampled buckets are partitioned into at most
-    ``max_workers`` contiguous chunks — "shards" — and each shard's jobs
-    carry **only user ids** plus their pre-derived seeds; the step-constant
-    spec (with the read-only theta snapshot) is pickled once per shard.
-    Workers rebuild the corpus access layer locally from the
-    :class:`~repro.core._pairs.PairSourceSpec` received at pool start (for
-    a disk-backed corpus that is a path plus the token table), materialize
-    each bucket's pairs on demand, and stream back clipped float64 bucket
-    deltas. The coordinator reassembles them in bucket-index order and
-    remains the single writer for aggregation, noising, and accounting —
-    so the privacy ledger is bit-identical to a serial run. The executor
-    object itself follows the same single-writer discipline: only the
-    coordinating trainer thread mutates it (pool lifecycle, spec,
-    observability bindings); dpsan asserts this at runtime.
+    ``max_workers`` contiguous chunks — "shards" — one submission per
+    worker per step; the step-constant spec (with the read-only theta
+    snapshot) is pickled once per shard. Jobs arrive in one of two forms,
+    chosen per run by
+    :meth:`~repro.core.engine.stages.StepPipeline.prepare_for`:
+
+    - **deferred** — jobs carry only user ids plus their pre-derived seeds.
+      Workers rebuild the corpus access layer locally from the
+      :class:`~repro.core._pairs.PairSourceSpec` received at pool start
+      (for a disk-backed corpus that is a path plus the token table) and
+      materialize each bucket's pairs on demand: the out-of-core path.
+    - **eager** — jobs carry their materialized pair arrays (``omega`` > 1,
+      or a source without a picklable spec); workers need no source.
+
+    Workers stream back clipped float64 bucket deltas. The coordinator
+    reassembles them in bucket-index order and remains the single writer
+    for aggregation, noising, and accounting — so the privacy ledger is
+    bit-identical to a serial run. The executor object itself follows the
+    same single-writer discipline: only the coordinating trainer thread
+    mutates it (pool lifecycle, spec, observability bindings); dpsan
+    asserts this at runtime.
 
     Fault tolerance: a worker death breaks the process pool mid-round. The
     executor closes the broken pool, rebuilds it (workers re-run the
@@ -412,7 +305,7 @@ class ShardedExecutor(BucketExecutor):
             when the file exists, exactly one worker claims it and dies.
     """
 
-    needs_materialized_pairs = False
+    out_of_process = True
 
     def __init__(
         self,
@@ -434,30 +327,22 @@ class ShardedExecutor(BucketExecutor):
         self._observability: "Observability | None" = None
         self._metrics: "ShardMetrics | None" = None
 
-    def configure(self, source_spec: PairSourceSpec) -> None:
+    def configure(self, source_spec: PairSourceSpec | None) -> None:
         """Receive the run's pair-source spec; workers rebuild from it."""
         if self._pool is not None and source_spec is not self._source_spec:
             self.close()  # a new run's source invalidates the old workers
         self._source_spec = source_spec
 
     def bind_observability(self, observability: "Observability | None") -> None:
+        """Bind the run's bundle; a reused executor rebinds for every run."""
         self._observability = observability
-        if (
-            observability is not None
-            and observability.metrics is not None
-            and self._metrics is None
-        ):
+        self._metrics = None
+        if observability is not None and observability.metrics is not None:
             from repro.observability.hooks import ShardMetrics
 
             self._metrics = ShardMetrics(observability.metrics)
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._source_spec is None:
-            raise ExecutorError(
-                "ShardedExecutor was not configured with a pair source; "
-                "run it through the engine (which calls "
-                "pipeline.prepare_for(executor) before the first step)"
-            )
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.max_workers,
@@ -562,16 +447,25 @@ def _chunk_evenly(jobs: list[BucketJob], parts: int) -> list[list[BucketJob]]:
     return chunks
 
 
+#: Deprecated spelling of the process pool, kept for old imports.
+ParallelExecutor = deprecated_class_alias(
+    "ParallelExecutor", __name__, ShardedExecutor, "repro.core.engine.ShardedExecutor"
+)
+
+register_deprecation('executor="parallel"', 'executor="sharded"')
+
+
 def make_executor(
     kind: "str | BucketExecutor | None", workers: int | None = None
 ) -> tuple[BucketExecutor, bool]:
     """Resolve an executor choice to an instance.
 
     Args:
-        kind: ``"serial"``, ``"parallel"``, ``"sharded"``, ``None``
+        kind: ``"serial"``, ``"sharded"`` (the process pool), ``None``
             (= serial), or an already-built :class:`BucketExecutor`
-            (returned as-is).
-        workers: worker count for the parallel and sharded executors.
+            (returned as-is). ``"parallel"`` is a deprecated spelling of
+            ``"sharded"``.
+        workers: worker count for the process pool.
 
     Returns:
         ``(executor, owned)`` — ``owned`` is True when the executor was
@@ -582,10 +476,10 @@ def make_executor(
     if kind is None or kind == "serial":
         return SerialExecutor(), True
     if kind == "parallel":
-        return ParallelExecutor(max_workers=workers), True
+        warn_deprecated('executor="parallel"', 'executor="sharded"')
+        kind = "sharded"
     if kind == "sharded":
         return ShardedExecutor(max_workers=workers), True
     raise ConfigError(
-        "executor must be 'serial', 'parallel', 'sharded', or a "
-        f"BucketExecutor, got {kind!r}"
+        f"executor must be 'serial', 'sharded', or a BucketExecutor, got {kind!r}"
     )

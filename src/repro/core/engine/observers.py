@@ -26,7 +26,7 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
-from repro._compat import deprecated_observer_alias
+from repro._compat import deprecated_class_alias
 from repro.core.history import StepRecord, TrainingHistory
 from repro.observability.observer import Observer
 
@@ -37,7 +37,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 #: The engine's historical observer base class; subclassing or
 #: instantiating it warns (see :mod:`repro._compat` for the policy).
-StepObserver = deprecated_observer_alias("StepObserver", __name__)
+StepObserver = deprecated_class_alias(
+    "StepObserver", __name__, Observer, "repro.observability.Observer"
+)
 
 
 class HistoryObserver(Observer):

@@ -28,7 +28,6 @@ from repro.core.config import PLPConfig
 from repro.core.engine.executors import BucketExecutor, BucketJob, LocalTrainSpec
 from repro.core.grouping import assign_buckets, build_bucket_arrays, group_data
 from repro.core.sampling import poisson_sample
-from repro.exceptions import ConfigError
 from repro.models.skipgram import SkipGramModel
 from repro.nn.optimizers import DPAdam
 from repro.nn.parameters import ParameterSet
@@ -52,10 +51,11 @@ class GroupResult:
     """Line 6 — bucket assignment of the sampled users' pair data.
 
     Two materialization modes share this result type. The eager mode
-    (serial/parallel executors) fills ``buckets`` with concatenated pair
-    arrays. The deferred mode (sharded executor) leaves ``buckets`` empty
-    and fills ``assignment`` with each bucket's user ids — pairs are
-    resolved worker-side. Both modes are computed from the **same RNG
+    fills ``buckets`` with concatenated pair arrays. The deferred mode
+    (process pool, omega = 1, a source with a picklable spec; see
+    :meth:`StepPipeline.prepare_for`) leaves ``buckets`` empty and fills
+    ``assignment`` with each bucket's user ids — pairs are resolved
+    worker-side. Both modes are computed from the **same RNG
     draws**, so which mode ran is invisible to everything downstream.
     """
 
@@ -179,42 +179,26 @@ class StepPipeline:
     def prepare_for(self, executor: BucketExecutor) -> None:
         """Adapt the pipeline to the executor before the first step.
 
-        Executors that resolve pairs worker-side
-        (``needs_materialized_pairs`` False) flip the pipeline into
-        deferred mode — :meth:`group` then produces user-id assignments
-        instead of concatenated arrays — and receive the pair-source spec
-        their workers rebuild from. The stage *randomness* is unaffected:
-        deferred and eager grouping consume identical draws.
-
-        Raises:
-            ConfigError: when the executor defers pairs but the run's
-                configuration or data source cannot be shipped to workers
-                (``split_factor`` > 1 consumes pair-data-dependent draws;
-                some sources have no picklable spec).
+        Jobs ship user ids instead of pairs (deferred mode: :meth:`group`
+        produces user-id assignments instead of concatenated arrays) when
+        the executor runs out of process, ``split_factor`` (omega) is 1 —
+        splitting draws pair-data-dependent randomness, so it needs the
+        pairs on the coordinator — and the source has a picklable spec for
+        the workers to rebuild from. Otherwise jobs carry their pairs
+        (eager mode). The stage *randomness* is unaffected: deferred and
+        eager grouping consume identical draws.
         """
-        if executor.needs_materialized_pairs:
-            self._defer_pairs = False
+        self._defer_pairs = False
+        if not executor.out_of_process:
             return
-        if self.config.split_factor > 1:
-            raise ConfigError(
-                "the sharded executor requires split_factor (omega) == 1: "
-                f"splitting draws pair-data-dependent randomness, got "
-                f"{self.config.split_factor}"
-            )
-        spec = self.source.spec()
-        if spec is None:
-            raise ConfigError(
-                "this pair source cannot be shipped to sharded workers "
-                "(no picklable spec); use the serial or parallel executor, "
-                "or train from a sharded on-disk corpus"
-            )
+        spec = self.source.spec() if self.config.split_factor == 1 else None
         executor.configure(spec)
         # Close-before-fork: the executor's pool start may fork this
         # process, and any mmap handle open on the source would be
         # inherited by the children. Dropping them here is cheap — the
         # coordinator lazily reopens on its next access.
         self.source.release_resources()
-        self._defer_pairs = True
+        self._defer_pairs = spec is not None
 
     # -- stages, in Algorithm 1 order -----------------------------------------
 
@@ -231,8 +215,8 @@ class StepPipeline:
         """Group the sampled users' pairs into lambda-user buckets (line 6)."""
         config = self.config
         if config.split_factor > 1:
-            # omega > 1 splits pair arrays with pair-data-dependent draws;
-            # only the eager path supports it (prepare_for() enforces this).
+            # omega > 1 splits pair arrays with pair-data-dependent draws,
+            # so it always runs eagerly (prepare_for() never defers it).
             sampled_pairs = {
                 user: self.source.pairs(user) for user in sample.users
             }

@@ -60,11 +60,12 @@ class NonPrivateTrainer:
             ``"numba"``), as in :attr:`PLPConfig.backend <repro.core.config.PLPConfig>`.
         sessionize_training: expand windows within 6-hour sessions.
         rng: seed or generator.
-        executor: bucket execution backend (``"serial"``, ``"parallel"``,
-            or a :class:`~repro.core.engine.BucketExecutor`); with a single
+        executor: bucket execution backend (``"serial"``, the process
+            pool ``"sharded"``, or a
+            :class:`~repro.core.engine.BucketExecutor`); with a single
             all-users bucket per epoch this mostly matters for API
             symmetry with the private trainers.
-        workers: worker count for ``executor="parallel"``.
+        workers: worker count for ``executor="sharded"``.
         observers: extra step observers (one engine step = one epoch).
     """
 

@@ -20,8 +20,8 @@ Each step:
 
 The mechanics live in :mod:`repro.core.engine`: the step math in
 :class:`~repro.core.engine.StepPipeline`, bucket execution behind a
-pluggable :class:`~repro.core.engine.BucketExecutor` (serial or
-process-parallel, bit-identical for the same seed), and history/stop/eval
+pluggable :class:`~repro.core.engine.BucketExecutor` (serial or a
+process pool, bit-identical for the same seed), and history/stop/eval
 policy in :class:`repro.observability.Observer` instances.
 :meth:`PrivateLocationPredictor.fit` only assembles and runs them.
 """
@@ -73,13 +73,14 @@ class PrivateLocationPredictor:
         noise_schedule: optional per-step sigma schedule (default: the
             config's constant ``noise_multiplier``).
         executor: bucket execution backend — ``"serial"`` (default),
-            ``"parallel"`` (process pool over materialized pairs),
-            ``"sharded"`` (persistent workers resolving pairs from a
-            shared corpus source; the out-of-core backend), or a ready
-            :class:`~repro.core.engine.BucketExecutor` instance (kept open
-            across ``fit`` calls; the caller closes it).
-        workers: worker-process count for the parallel and sharded
-            executors (default: all cores).
+            ``"sharded"`` (the process pool: workers resolve pairs from a
+            shared corpus source when ``split_factor`` is 1 and the
+            source has a picklable spec, otherwise receive materialized
+            pairs), or a ready :class:`~repro.core.engine.BucketExecutor`
+            instance (kept open across ``fit`` calls; the caller closes
+            it). ``"parallel"`` is a deprecated alias of ``"sharded"``.
+        workers: worker-process count for the process pool (default: all
+            cores).
         observers: extra :class:`~repro.observability.Observer` instances
             notified on every step (e.g. metrics/checkpoint observers);
             appended after the built-in history/stop/eval observers.

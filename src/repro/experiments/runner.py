@@ -202,10 +202,11 @@ class ExperimentRunner:
             are deterministic yet independent.
         k_values: HR@k values to record.
         executor: bucket execution backend for every run (``"serial"``,
-            ``"parallel"``, or a :class:`~repro.core.engine.BucketExecutor`
-            shared across runs). Results are seed-determined and identical
-            across executors, so sweeps can be parallelized freely.
-        workers: worker count for ``executor="parallel"``.
+            the process pool ``"sharded"``, or a
+            :class:`~repro.core.engine.BucketExecutor` shared across runs).
+            Results are seed-determined and identical across executors, so
+            sweeps can be parallelized freely.
+        workers: worker count for ``executor="sharded"``.
     """
 
     def __init__(

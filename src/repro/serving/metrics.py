@@ -27,13 +27,15 @@ import json
 import threading
 from pathlib import Path
 
-from repro._compat import deprecated_observer_alias
+from repro._compat import deprecated_class_alias
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.observer import Observer
 
 #: The serving stack's historical observer base class; subclassing or
 #: instantiating it warns (see :mod:`repro._compat` for the policy).
-ServingObserver = deprecated_observer_alias("ServingObserver", __name__)
+ServingObserver = deprecated_class_alias(
+    "ServingObserver", __name__, Observer, "repro.observability.Observer"
+)
 
 
 class MetricsObserver(Observer):

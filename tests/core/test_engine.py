@@ -14,8 +14,8 @@ from repro.core.engine import (
     CheckpointObserver,
     JsonlMetricsObserver,
     LocalTrainSpec,
-    ParallelExecutor,
     SerialExecutor,
+    ShardedExecutor,
     Observer,
     make_executor,
 )
@@ -80,7 +80,7 @@ class TestSerialParallelEquivalence:
         serial = PrivateLocationPredictor(config, rng=11, executor="serial")
         history_serial = serial.fit(train)
         parallel = PrivateLocationPredictor(
-            config, rng=11, executor="parallel", workers=2
+            config, rng=11, executor="sharded", workers=2
         )
         history_parallel = parallel.fit(train)
 
@@ -104,7 +104,7 @@ class TestSerialParallelEquivalence:
         serial = PrivateLocationPredictor(config, rng=3, executor="serial")
         history_serial = serial.fit(train)
         parallel = PrivateLocationPredictor(
-            config, rng=3, executor="parallel", workers=2
+            config, rng=3, executor="sharded", workers=2
         )
         history_parallel = parallel.fit(train)
         assert history_serial.stop_reason == "budget_exhausted"
@@ -149,7 +149,7 @@ class TestExecutorFailure:
 
     def test_parallel_raises_executor_error_without_hanging(self):
         spec, jobs = _failing_step_inputs()
-        with ParallelExecutor(max_workers=2) as executor:
+        with ShardedExecutor(max_workers=2) as executor:
             with pytest.raises(ExecutorError) as excinfo:
                 executor.run_step(spec, jobs)
         assert isinstance(excinfo.value.__cause__, ConfigError)
@@ -164,7 +164,7 @@ class TestExecutorFailure:
             clipping="per_layer",
             local_update="sgd",
         )
-        with ParallelExecutor(max_workers=2) as executor:
+        with ShardedExecutor(max_workers=2) as executor:
             with pytest.raises(ExecutorError):
                 executor.run_step(spec, jobs)
             updates = executor.run_step(good_spec, jobs)
@@ -172,7 +172,7 @@ class TestExecutorFailure:
 
     def test_empty_step_returns_no_updates(self):
         spec, _ = _failing_step_inputs()
-        with ParallelExecutor(max_workers=2) as executor:
+        with ShardedExecutor(max_workers=2) as executor:
             assert executor.run_step(spec, []) == []
 
 
@@ -194,7 +194,7 @@ class TestMakeExecutor:
 
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ConfigError):
-            ParallelExecutor(max_workers=0)
+            ShardedExecutor(max_workers=0)
 
 
 class TestSnapshotPolicy:

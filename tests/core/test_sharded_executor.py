@@ -1,9 +1,11 @@
 """Tests for the out-of-core ShardedExecutor and the deferred pipeline path.
 
 The load-bearing contract: for the same seed, training results (embeddings
-AND privacy ledger) are bit-identical across the serial, parallel, and
-sharded executors, whether the corpus lives in memory or in a sharded
-on-disk store, for every kernel backend and grouping strategy.
+AND privacy ledger) are bit-identical between the serial executor and the
+process pool, whether the corpus lives in memory or in a sharded on-disk
+store, whether jobs ship user ids (deferred) or pairs (eager: omega > 1,
+or a source without a spec), for every kernel backend and grouping
+strategy.
 """
 
 from __future__ import annotations
@@ -14,9 +16,14 @@ import pytest
 from repro.core._pairs import PairSource
 from repro.core.config import PLPConfig
 from repro.core.engine import (
+    BucketJob,
     CheckpointObserver,
+    MaxStepsObserver,
+    Observer,
+    SerialExecutor,
     ShardedExecutor,
     StepPipeline,
+    TrainingEngine,
     make_executor,
 )
 from repro.core.trainer import PrivateLocationPredictor
@@ -27,6 +34,7 @@ from repro.exceptions import ConfigError, ExecutorError
 from repro.models.serialization import load_training_checkpoint
 from repro.models.skipgram import SkipGramModel
 from repro.privacy.accountant import PrivacyLedger
+from repro.rng import derive_seed_sequence
 
 
 def _fast_config(**overrides) -> PLPConfig:
@@ -74,23 +82,91 @@ def _assert_same_run(a, b):
         assert left.num_buckets == right.num_buckets
 
 
+class _GroupModes(Observer):
+    """Records whether each step's jobs were deferred (user ids only)."""
+
+    def __init__(self) -> None:
+        self.deferred = []
+
+    def on_step_end(self, context, result):
+        self.deferred.append(result.group.deferred)
+
+
+class _OpaqueSource(PairSource):
+    """A custom pair source without a picklable spec."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    @property
+    def users(self):
+        return self.inner.users
+
+    def pairs(self, user):
+        return self.inner.pairs(user)
+
+    def pair_count(self, user):
+        return self.inner.pair_count(user)
+
+
 class TestBitIdentityAcrossExecutors:
     @pytest.mark.parametrize("backend", ["reference", "fast", "numba"])
     def test_serial_parallel_sharded_identical(self, corpus, corpus_dir, backend):
         config = _fast_config(backend=backend)
         serial = _train(corpus, config, "serial")
-        parallel = _train(corpus, config, "parallel", workers=2)
-        sharded_mem = _train(corpus, config, "sharded", workers=2)
+        modes = _GroupModes()
+        sharded_mem = _train(corpus, config, "sharded", workers=2, observers=[modes])
         sharded_disk = _train(str(corpus_dir), config, "sharded", workers=2)
-        _assert_same_run(serial, parallel)
         _assert_same_run(serial, sharded_mem)
         _assert_same_run(serial, sharded_disk)
+        assert all(modes.deferred)
 
     def test_equal_frequency_grouping_identical(self, corpus, corpus_dir):
         config = _fast_config(grouping_strategy="equal_frequency")
         serial = _train(corpus, config, "serial")
         sharded_disk = _train(str(corpus_dir), config, "sharded", workers=2)
         _assert_same_run(serial, sharded_disk)
+
+    def test_split_factor_two_runs_eagerly(self, corpus, corpus_dir):
+        # omega = 2 splits pairs with pair-data-dependent draws, so the
+        # pool receives materialized pairs instead of user ids.
+        config = _fast_config(split_factor=2)
+        serial = _train(corpus, config, "serial")
+        modes = _GroupModes()
+        sharded_mem = _train(corpus, config, "sharded", workers=2, observers=[modes])
+        sharded_disk = _train(str(corpus_dir), config, "sharded", workers=2)
+        _assert_same_run(serial, sharded_mem)
+        _assert_same_run(serial, sharded_disk)
+        assert modes.deferred and not any(modes.deferred)
+
+    def test_specless_source_runs_eagerly(self, corpus):
+        from repro.core._pairs import build_pair_source
+        from repro.data.store import open_corpus
+
+        _, source = build_pair_source(open_corpus(corpus), window=2)
+        config = _fast_config()
+
+        def run(executor):
+            model = SkipGramModel(num_locations=80, embedding_dim=8, rng=0)
+            ledger = PrivacyLedger(delta=2e-4, sampling_probability=0.3)
+            pipeline = StepPipeline(
+                config, model, _OpaqueSource(source), root=7, ledger=ledger
+            )
+            modes = _GroupModes()
+            TrainingEngine(
+                pipeline, executor, observers=[MaxStepsObserver(3), modes]
+            ).run()
+            return model, ledger, modes.deferred
+
+        serial_model, serial_ledger, _ = run(SerialExecutor())
+        with ShardedExecutor(max_workers=2) as executor:
+            pool_model, pool_ledger, deferred = run(executor)
+        for name in serial_model.params.names():
+            np.testing.assert_array_equal(
+                serial_model.params[name], pool_model.params[name]
+            )
+        assert serial_ledger.entries == pool_ledger.entries
+        assert len(deferred) == 3 and not any(deferred)
 
 
 class TestFaultTolerance:
@@ -170,43 +246,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="max_round_retries"):
             ShardedExecutor(max_round_retries=-1)
 
-    def test_split_factor_rejected(self, corpus):
-        config = _fast_config(split_factor=2)
-        with pytest.raises(ConfigError, match="split_factor"):
-            _train(corpus, config, "sharded", workers=2)
-
-    def test_unshippable_source_rejected(self, corpus):
-        class OpaqueSource(PairSource):
-            def __init__(self, inner):
-                self.inner = inner
-
-            @property
-            def users(self):
-                return self.inner.users
-
-            def pairs(self, user):
-                return self.inner.pairs(user)
-
-            def pair_count(self, user):
-                return self.inner.pair_count(user)
-
-        from repro.core._pairs import build_pair_source
-        from repro.data.store import open_corpus
-
-        _, source = build_pair_source(open_corpus(corpus), window=2)
-        model = SkipGramModel(num_locations=80, embedding_dim=8, rng=0)
-        pipeline = StepPipeline(
-            _fast_config(), model, OpaqueSource(source), root=7,
-            ledger=PrivacyLedger(delta=2e-4, sampling_probability=0.3),
-        )
-        with ShardedExecutor(max_workers=2) as executor:
-            with pytest.raises(ConfigError, match="shipped"):
-                pipeline.prepare_for(executor)
-
     def test_unconfigured_executor_rejects_jobs(self):
+        # A deferred job needs a worker-side pair source, which only the
+        # pipeline handshake (prepare_for -> configure) provides.
+        job = BucketJob(
+            index=0, pairs=None, seed=derive_seed_sequence(0, 1, 0), users=(1, 2)
+        )
         with ShardedExecutor(max_workers=1) as executor:
-            with pytest.raises(ExecutorError, match="configure"):
-                executor.run_step(None, [object()])
+            with pytest.raises(ExecutorError, match="no pair source"):
+                executor.run_step(None, [job])
 
 
 class TestForkSafetyContract:
@@ -262,19 +310,21 @@ class TestForkSafetyContract:
         assert clone.history(user).checkins == original.checkins
 
     def test_prepare_for_releases_coordinator_resources(self, corpus_dir):
-        store, source = self._store_source(corpus_dir)
-        source.pairs(store.users[0])
-        assert store._open_shards and source._cache
+        # Deferred (omega = 1) and eager (omega = 2) runs both fork a pool.
+        for split_factor in (1, 2):
+            store, source = self._store_source(corpus_dir)
+            source.pairs(store.users[0])
+            assert store._open_shards and source._cache
 
-        model = SkipGramModel(num_locations=80, embedding_dim=8, rng=0)
-        pipeline = StepPipeline(
-            _fast_config(), model, source, root=7,
-            ledger=PrivacyLedger(delta=2e-4, sampling_probability=0.3),
-        )
-        with ShardedExecutor(max_workers=2) as executor:
-            pipeline.prepare_for(executor)
-            assert not store._open_shards
-            assert not source._cache
+            model = SkipGramModel(num_locations=80, embedding_dim=8, rng=0)
+            pipeline = StepPipeline(
+                _fast_config(split_factor=split_factor), model, source, root=7,
+                ledger=PrivacyLedger(delta=2e-4, sampling_probability=0.3),
+            )
+            with ShardedExecutor(max_workers=2) as executor:
+                pipeline.prepare_for(executor)
+                assert not store._open_shards, split_factor
+                assert not source._cache, split_factor
 
     def test_worker_death_while_coordinator_held_a_map(
         self, corpus, corpus_dir, tmp_path

@@ -119,7 +119,7 @@ class TestParallelExecutorSpans:
         trainer = PrivateLocationPredictor(
             _fast_config(max_steps=2),
             rng=11,
-            executor="parallel",
+            executor="sharded",
             workers=2,
             observability=obs,
         )
@@ -135,6 +135,27 @@ class TestParallelExecutorSpans:
         bucket_seconds = obs.metrics.histogram("repro_engine_bucket_seconds")
         assert bucket_seconds.count() > 0
         assert bucket_seconds.stats()["min"] > 0.0
+
+
+class TestShardMetricsRebinding:
+    def test_reused_executor_reports_to_each_runs_registry(self, split_dataset):
+        """A shared pool feeds the registry of the run it is executing."""
+        from repro.core.engine import ShardedExecutor
+
+        train, _ = split_dataset
+        first, second = with_observability(), with_observability()
+        with ShardedExecutor(max_workers=2) as executor:
+            for obs in (first, second, None):
+                PrivateLocationPredictor(
+                    _fast_config(max_steps=2),
+                    rng=11,
+                    executor=executor,
+                    observability=obs,
+                ).fit(train)
+        for obs in (first, second):
+            rounds = obs.metrics.counter("repro_engine_shard_rounds_total")
+            assert rounds.total() == 2
+            assert len(obs.tracer.spans_named("engine.shard")) >= 2
 
 
 class TestBitIdentity:

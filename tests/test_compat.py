@@ -14,6 +14,7 @@ import pytest
 import repro.api  # noqa: F401 - registers the serve() shims
 import repro.cli  # noqa: F401 - registers the CLI flag shims
 import repro.core.config  # noqa: F401 - registers the PLPConfig kwarg shims
+import repro.core.engine.executors  # noqa: F401 - registers ParallelExecutor
 import repro.core.engine.observers  # noqa: F401 - registers StepObserver
 import repro.serving.metrics  # noqa: F401 - registers ServingObserver
 from repro._compat import (
@@ -77,6 +78,28 @@ def _use_observer_alias(module, name):
     return exercise
 
 
+def _use_parallel_executor_name():
+    from repro.core.engine import ShardedExecutor, make_executor
+
+    executor, owned = make_executor("parallel", workers=1)
+    assert isinstance(executor, ShardedExecutor) and owned
+    executor.close()
+
+
+def _use_parallel_executor_class():
+    from repro.core.engine import ParallelExecutor, ShardedExecutor
+
+    executor = ParallelExecutor(max_workers=2)
+    assert isinstance(executor, ShardedExecutor) and executor.max_workers == 2
+
+
+def _use_executor_parallel_flag():
+    from repro.cli import _build_parser
+
+    argv = ["train", "--synthetic", "--out", "m.npz", "--executor", "parallel"]
+    assert _build_parser().parse_args(argv).executor == "sharded"
+
+
 # One exerciser per DEPRECATIONS key; the completeness test fails when a
 # new shim is registered without a matching entry here.
 EXERCISERS = {
@@ -89,12 +112,15 @@ EXERCISERS = {
     "repro serve --model PATH": _use_serve_model_path_flag,
     "repro train --negatives": _use_cli_flag("--negatives", "4"),
     "repro train --metrics-jsonl": _use_cli_flag("--metrics-jsonl", "m.jsonl"),
+    "repro train --executor parallel": _use_executor_parallel_flag,
+    'executor="parallel"': _use_parallel_executor_name,
     "repro.core.engine.observers.StepObserver": _use_observer_alias(
         "repro.core.engine.observers", "StepObserver"
     ),
     "repro.serving.metrics.ServingObserver": _use_observer_alias(
         "repro.serving.metrics", "ServingObserver"
     ),
+    "repro.core.engine.executors.ParallelExecutor": _use_parallel_executor_class,
 }
 
 
