@@ -46,6 +46,7 @@ import numpy as np
 from repro._compat import deprecated_class_alias, register_deprecation, warn_deprecated
 from repro.core._pairs import PairSource, PairSourceSpec
 from repro.core.bucket import BucketUpdate, model_updates_from_buckets
+from repro.core.engine.blas import available_cores, limit_blas_threads
 from repro.core.grouping import build_bucket_arrays
 from repro.exceptions import ConfigError, ExecutorError
 from repro.models.skipgram import SkipGramModel
@@ -199,10 +200,18 @@ _WORKER_FAULT_MARKER: str | None = None
 
 
 def _init_shard_worker(
-    source_spec: PairSourceSpec | None, fault_marker: str | None
+    source_spec: PairSourceSpec | None, fault_marker: str | None, max_workers: int
 ) -> None:
-    """Pool initializer: rebuild the read-only pair source in this worker."""
+    """Pool initializer: rebuild the read-only pair source in this worker.
+
+    Also caps the worker's BLAS threads at its share of the cores: a
+    forked worker inherits the coordinator's one-thread-per-core OpenBLAS,
+    and ``max_workers`` such pools would oversubscribe the host. The cap
+    never raises the inherited count (see
+    :func:`~repro.core.engine.blas.limit_blas_threads`).
+    """
     global _WORKER_SOURCE, _WORKER_FAULT_MARKER
+    limit_blas_threads(available_cores() // max_workers)
     _WORKER_SOURCE = source_spec.build() if source_spec is not None else None
     _WORKER_FAULT_MARKER = fault_marker
 
@@ -347,7 +356,7 @@ class ShardedExecutor(BucketExecutor):
             self._pool = ProcessPoolExecutor(
                 max_workers=self.max_workers,
                 initializer=_init_shard_worker,
-                initargs=(self._source_spec, self._fault_marker),
+                initargs=(self._source_spec, self._fault_marker, self.max_workers),
             )
         return self._pool
 

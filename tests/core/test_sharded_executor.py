@@ -26,6 +26,7 @@ from repro.core.engine import (
     TrainingEngine,
     make_executor,
 )
+from repro.core.engine.blas import available_cores, blas_threads, limit_blas_threads
 from repro.core.trainer import PrivateLocationPredictor
 from repro.data.checkins import CheckinDataset
 from repro.data.store import write_sharded_store
@@ -255,6 +256,35 @@ class TestConfigValidation:
         with ShardedExecutor(max_workers=1) as executor:
             with pytest.raises(ExecutorError, match="no pair source"):
                 executor.run_step(None, [job])
+
+
+def _worker_blas_threads() -> int | None:
+    return blas_threads()
+
+
+def _worker_blas_threads_after_raise_attempt() -> int | None:
+    return limit_blas_threads(64)
+
+
+@pytest.mark.skipif(
+    blas_threads() is None,
+    reason="no OpenBLAS thread-control symbol found in this process",
+)
+class TestWorkerBlasCap:
+    """Pool workers run at most their share of the cores in BLAS threads."""
+
+    def test_workers_cap_blas_threads_to_core_share(self):
+        parent = blas_threads()
+        share = max(1, available_cores() // 2)
+        with ShardedExecutor(max_workers=2) as executor:
+            pool = executor._ensure_pool()
+            counts = [pool.submit(_worker_blas_threads).result() for _ in range(4)]
+            raised = pool.submit(_worker_blas_threads_after_raise_attempt).result()
+        assert all(count <= min(share, parent) for count in counts), counts
+        # The cap only ever lowers a count; asking for more changes nothing.
+        assert raised <= min(share, parent)
+        # The coordinator's own BLAS pool is left alone.
+        assert blas_threads() == parent
 
 
 class TestForkSafetyContract:

@@ -72,6 +72,22 @@ class TestQuickRun:
         assert sweep["resume_executed"] == 0
         assert 0 <= sweep["resume_overhead_ratio"] < 0.5
 
+    def test_sharded_scales_with_cores(self, report):
+        # The report records scaling or its absence; this is the floor.
+        # Near-linear scaling can only be demanded of more than one
+        # worker, and only for worker counts the host has cores for (one
+        # worker is held to the validator's 0.5x overhead floor).
+        sharded = report["sharded"]
+        cores = sharded["available_cores"]
+        if cores < 2:
+            pytest.skip(f"needs 2 cores to scale onto, host has {cores}")
+        for count, entry in sharded["workers"].items():
+            if 1 < int(count) <= cores:
+                assert entry["speedup_vs_serial"] >= 0.6 * int(count), (
+                    f"{count} workers on {cores} cores: "
+                    f"{entry['speedup_vs_serial']:.2f}x vs serial"
+                )
+
 
 class TestValidateReport:
     def test_rejects_missing_section(self, report):
