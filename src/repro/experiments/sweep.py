@@ -43,6 +43,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.core.config import PLPConfig
+from repro.core.engine.blas import available_cores, limit_blas_threads
 from repro.data.checkins import CheckinDataset
 from repro.data.preprocessing import paper_preprocessing
 from repro.data.splitting import holdout_users_split
@@ -518,9 +519,18 @@ _WORKER_STATE: _WorkerState | None = None
 _FAULT_MARKER: str | None = None
 
 
-def _init_sweep_worker(payload: dict[str, Any], fault_marker: str | None) -> None:
-    """Process-pool initializer: build this worker's runner once."""
+def _init_sweep_worker(
+    payload: dict[str, Any], fault_marker: str | None, max_workers: int
+) -> None:
+    """Process-pool initializer: build this worker's runner once.
+
+    Also caps the worker's BLAS threads at its share of the cores, as
+    the sharded executor's workers do: forked workers inherit the
+    coordinator's one-thread-per-core OpenBLAS and would oversubscribe
+    the host. The cap never raises the inherited count.
+    """
     global _WORKER_STATE, _FAULT_MARKER
+    limit_blas_threads(available_cores() // max_workers)
     _WORKER_STATE = _WorkerState.from_payload(payload)
     _FAULT_MARKER = fault_marker
 
@@ -818,7 +828,7 @@ def _run_parallel(
         pool = ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_sweep_worker,
-            initargs=(payload, fault_marker),
+            initargs=(payload, fault_marker, workers),
         )
         broken = False
         try:

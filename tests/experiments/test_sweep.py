@@ -11,9 +11,11 @@ kill), failed-run handling, aggregation schema, and the
 from __future__ import annotations
 
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from repro.core.engine.blas import available_cores, blas_threads
 from repro.exceptions import ConfigError
 from repro.experiments import (
     GridSpec,
@@ -285,6 +287,26 @@ class TestParallelSweep:
         assert (out / "aggregate.json").read_bytes() == (
             reference / "aggregate.json"
         ).read_bytes()
+
+
+@pytest.mark.skipif(
+    blas_threads() is None,
+    reason="no OpenBLAS thread-control symbol found in this process",
+)
+class TestSweepWorkerBlasCap:
+    """Sweep workers run at most their share of the cores in BLAS threads."""
+
+    def test_workers_cap_blas_threads_to_core_share(self, spec):
+        parent = blas_threads()
+        share = max(1, available_cores() // 2)
+        with ProcessPoolExecutor(
+            max_workers=2,
+            initializer=sweep_module._init_sweep_worker,
+            initargs=(spec.as_dict(), None, 2),
+        ) as pool:
+            counts = [pool.submit(blas_threads).result() for _ in range(4)]
+        assert all(count <= min(share, parent) for count in counts), counts
+        assert blas_threads() == parent
 
 
 class TestFailedRuns:
