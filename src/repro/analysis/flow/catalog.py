@@ -74,6 +74,16 @@ SOURCES: tuple[SourceSpec, ...] = (
         "per-user check-in history (CheckinStore.history / dataset.history)",
         method_only=True,
     ),
+    SourceSpec(
+        "history_arrays",
+        "per-user check-in rows (ShardedCheckinStore.history_arrays)",
+        method_only=True,
+    ),
+    SourceSpec(
+        "iter_arrays",
+        "flat check-in blocks of a whole corpus (CheckinStore.iter_arrays)",
+        method_only=True,
+    ),
     SourceSpec("load_checkins_csv", "raw check-in CSV load"),
     SourceSpec("load_foursquare_checkins", "raw Foursquare dataset load"),
     SourceSpec(

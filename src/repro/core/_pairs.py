@@ -8,18 +8,23 @@ by default sequences are sessionized with the paper's 6-hour rule so a
 window never spans a multi-day gap, with the full-history alternative
 available.
 
-Two access shapes are provided on top of the same pair math:
+:func:`build_pair_source` builds both in **one array pass** over any
+store's :meth:`~repro.data.store.CheckinStore.iter_arrays` blocks:
+tokens in first-appearance order, sessions split by
+:func:`~repro.data.splitting.session_starts`, windows expanded by
+:func:`~repro.models.windowing.window_pairs`. The result is a per-user
+pair *source* in one of two shapes:
 
-- :func:`build_training_data` — the historical eager path: every user's
-  pair array materialized into one dict (what in-memory training uses).
-- :class:`PairSource` / :func:`build_pair_source` — a per-user pair
-  *source*: the vocabulary is still built in one deterministic streaming
-  scan, but pair arrays are produced lazily per user, so a disk-backed
-  corpus never has all pairs resident at once and worker processes can
-  rebuild the source locally from a small picklable spec instead of
-  receiving the arrays over a pipe.
+- :class:`InMemoryPairSource` — an in-memory corpus keeps every user's
+  pair array, expanded block by block during the scan.
+- :class:`StorePairSource` — a disk-backed corpus keeps only per-user
+  pair counts from the scan; a user's pairs are expanded on demand from
+  that user's slice of the store's arrays, so the corpus never has all
+  pairs resident at once and worker processes can rebuild the source
+  locally from a small picklable spec instead of receiving the arrays
+  over a pipe.
 
-Both paths produce bit-identical vocabularies and per-user pair arrays
+Both shapes give bit-identical vocabularies and per-user pair arrays
 for the same corpus — the cross-executor determinism contract depends on
 it.
 """
@@ -33,90 +38,33 @@ from typing import TYPE_CHECKING, Hashable, Mapping
 
 import numpy as np
 
-from repro.data.checkins import CheckinDataset
-from repro.data.splitting import SIX_HOURS_SECONDS, session_starts, sessionize
+from repro.data.splitting import SIX_HOURS_SECONDS, session_starts
 from repro.exceptions import ConfigError, DataError
 from repro.models.vocabulary import LocationVocabulary
-from repro.models.windowing import pairs_from_sequences, window_pair_counts
-from repro.types import UserHistory
+from repro.models.windowing import window_pair_counts, window_pairs
 
 if TYPE_CHECKING:
     from repro.data.store import CheckinStore, ShardedCheckinStore
 
-_EMPTY_PAIRS = np.empty((0, 2), dtype=np.int64)
 
-
-def build_training_data(
-    dataset: CheckinDataset,
-    window: int,
-    sessionize_training: bool = True,
-    max_session_seconds: float = SIX_HOURS_SECONDS,
-) -> tuple[LocationVocabulary, dict[int, np.ndarray]]:
-    """Tokenize training sequences and expand per-user window pairs.
-
-    Args:
-        dataset: the training users' check-ins.
-        window: the symmetric context radius ``win``.
-        sessionize_training: split each history into 6-hour sessions before
-            window expansion (recommended; prevents cross-session windows).
-        max_session_seconds: session duration bound.
-
-    Returns:
-        ``(vocabulary, user_pairs)`` where ``user_pairs[user]`` is an
-        ``(n_u, 2)`` int array of that user's (target, context) token pairs.
-
-    Raises:
-        DataError: when no user yields a single training pair.
-    """
-    per_user_sequences: dict[int, list[list[int]]] = {}
-    for history in dataset:
-        if sessionize_training:
-            sequences = [
-                list(trajectory.locations)
-                for trajectory in sessionize(history, max_session_seconds)
-            ]
-        else:
-            sequences = [history.locations()]
-        per_user_sequences[history.user] = sequences
-
-    vocabulary = LocationVocabulary.from_sequences(
-        sequence
-        for sequences in per_user_sequences.values()
-        for sequence in sequences
-    )
-
-    user_pairs: dict[int, np.ndarray] = {}
-    total = 0
-    for user, sequences in per_user_sequences.items():
-        encoded = [vocabulary.encode(sequence) for sequence in sequences]
-        pairs = pairs_from_sequences(encoded, window)
-        user_pairs[user] = pairs if pairs.shape[0] else _EMPTY_PAIRS
-        total += pairs.shape[0]
-    if total == 0:
-        raise DataError(
-            "no training pairs produced; sequences are too short for the window"
-        )
-    return vocabulary, user_pairs
-
-
-def _history_pairs(
-    history: UserHistory,
-    vocabulary: LocationVocabulary,
-    window: int,
+def _session_lengths(
+    offsets: np.ndarray,
+    timestamps: np.ndarray,
     sessionize_training: bool,
     max_session_seconds: float,
-) -> np.ndarray:
-    """One user's (target, context) pairs — the math both paths share."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Trajectory lengths of a flat block, and the user index owning each.
+
+    User ``i`` owns rows ``offsets[i]:offsets[i + 1]``; a trajectory is a
+    whole history, or one of its 6-hour sessions.
+    """
     if sessionize_training:
-        sequences = [
-            list(trajectory.locations)
-            for trajectory in sessionize(history, max_session_seconds)
-        ]
+        starts = session_starts(timestamps, offsets, max_session_seconds)
     else:
-        sequences = [history.locations()]
-    encoded = [vocabulary.encode(sequence) for sequence in sequences]
-    pairs = pairs_from_sequences(encoded, window)
-    return pairs if pairs.shape[0] else _EMPTY_PAIRS
+        starts = offsets[:-1][np.diff(offsets) > 0]
+    lengths = np.diff(np.append(starts, offsets[-1]))
+    owner = np.searchsorted(offsets, starts, side="right") - 1
+    return lengths, owner
 
 
 class PairSource(abc.ABC):
@@ -228,19 +176,20 @@ class InMemoryPairSource(PairSource):
 
 
 class StorePairSource(PairSource):
-    """Lazy per-user pairs over a :class:`~repro.data.store.CheckinStore`.
+    """Lazy per-user pairs over a :class:`~repro.data.store.ShardedCheckinStore`.
 
-    Pair arrays are computed from the store's memory-mapped history on
-    first access and kept in a small LRU (Poisson sampling revisits users
-    across rounds), so resident pair memory is bounded by the cache — not
-    the corpus.
+    A user's pair array is expanded on first access from that user's
+    memory-mapped rows (:meth:`~repro.data.store.ShardedCheckinStore.history_arrays`),
+    by the same session split and window expansion as the scan, and kept
+    in a small LRU (Poisson sampling revisits users across rounds), so
+    resident pair memory is bounded by the cache — not the corpus.
 
     Concurrency: single-writer. An instance is owned by the coordinating
     trainer thread; worker processes never share it — they rebuild their
     own source from :meth:`spec` (enforced at runtime by dpsan).
 
     Args:
-        store: the backing corpus store.
+        store: the backing on-disk store.
         vocabulary: the full training vocabulary (already built by
             :func:`build_pair_source`'s streaming scan).
         window: symmetric context radius.
@@ -253,7 +202,7 @@ class StorePairSource(PairSource):
 
     def __init__(
         self,
-        store: "CheckinStore",
+        store: "ShardedCheckinStore",
         vocabulary: LocationVocabulary,
         window: int,
         sessionize_training: bool = True,
@@ -279,13 +228,15 @@ class StorePairSource(PairSource):
         if cached is not None:
             self._cache.move_to_end(user)
             return cached
-        pairs = _history_pairs(
-            self.store.history(user),
-            self.vocabulary,
-            self.window,
+        locations, timestamps = self.store.history_arrays(user)
+        tokens = np.asarray(self.vocabulary.encode(locations.tolist()), dtype=np.int64)
+        lengths, _ = _session_lengths(
+            np.array([0, tokens.size]),
+            timestamps,
             self.sessionize_training,
             self.max_session_seconds,
         )
+        pairs = window_pairs(tokens, lengths, self.window)
         self._cache[user] = pairs
         if len(self._cache) > self._max_cached_users:
             self._cache.popitem(last=False)
@@ -300,10 +251,6 @@ class StorePairSource(PairSource):
         return int(self.pairs(user).shape[0])
 
     def spec(self) -> "PairSourceSpec | None":
-        from repro.data.store import ShardedCheckinStore
-
-        if not isinstance(self.store, ShardedCheckinStore):
-            return None
         return StoreSourceSpec(
             path=str(self.store.path),
             locations=tuple(self.vocabulary.locations()),
@@ -320,34 +267,45 @@ class StorePairSource(PairSource):
         changes results — only what a forked child could inherit.
         """
         self._cache.clear()
-        release_maps = getattr(self.store, "release_maps", None)
-        if release_maps is not None:
-            release_maps()
+        self.store.release_maps()
 
 
-def _scan_store(
-    store: "ShardedCheckinStore",
+def build_pair_source(
+    store: "CheckinStore",
     window: int,
-    sessionize_training: bool,
-    max_session_seconds: float,
-) -> tuple[LocationVocabulary, dict[int, int]]:
-    """The vocabulary and per-user pair counts of a store, in array passes.
+    sessionize_training: bool = True,
+    max_session_seconds: float = SIX_HOURS_SECONDS,
+) -> tuple[LocationVocabulary, PairSource]:
+    """Build the vocabulary and a :class:`PairSource` over any corpus store.
 
-    Equal to adding every user's check-ins to a vocabulary one by one and
-    counting the pairs of their (sessionized) trajectories, but each
+    One streaming pass over the store's
+    :meth:`~repro.data.store.CheckinStore.iter_arrays` blocks, in store
+    user order, so the scan's working memory is one block. Tokens are
+    assigned in first-appearance order, exactly as adding every user's
+    check-ins in turn to a :class:`LocationVocabulary` would, and each
     block costs a few numpy passes (plus one float comparison per row for
     the session split) instead of objects per check-in.
 
+    An in-memory store's pairs are expanded per block right away
+    (:class:`InMemoryPairSource`); a sharded store's are only counted
+    here and expanded per user on demand (:class:`StorePairSource`).
+    Both give the same arrays.
+
     Raises:
+        ConfigError: when ``window < 1``.
         DataError: when no user yields a single training pair.
     """
+    from repro.data.store import ShardedCheckinStore
+
     if window < 1:
         raise ConfigError(f"window must be >= 1, got {window}")
+    on_disk = isinstance(store, ShardedCheckinStore)
     locations: list[int] = []  # token -> location id
     known = np.empty(0, dtype=np.int64)  # ascending ids seen so far
     known_tokens = np.empty(0, dtype=np.int64)
     counts = np.empty(0, dtype=np.int64)
     pair_counts: dict[int, int] = {}
+    user_pairs: dict[int, np.ndarray] = {}
     total = 0
     for users, offsets, block_locations, timestamps in store.iter_arrays():
         at = np.searchsorted(known, block_locations)
@@ -369,57 +327,28 @@ def _scan_store(
                 (counts, np.zeros(fresh_ids.size, dtype=np.int64))
             )
             at = np.searchsorted(known, block_locations)
-        counts += np.bincount(known_tokens[at], minlength=counts.size)
+        tokens = known_tokens[at]
+        counts += np.bincount(tokens, minlength=counts.size)
 
-        if sessionize_training:
-            starts = session_starts(timestamps, offsets, max_session_seconds)
-        else:
-            starts = offsets[:-1][np.diff(offsets) > 0]
-        lengths = np.diff(np.append(starts, block_locations.size))
-        owner = np.searchsorted(offsets, starts, side="right") - 1
+        lengths, owner = _session_lengths(
+            offsets, timestamps, sessionize_training, max_session_seconds
+        )
         per_user = np.zeros(users.size, dtype=np.int64)
         np.add.at(per_user, owner, window_pair_counts(lengths, window))
-        pair_counts.update(zip(users.tolist(), per_user.tolist()))
         total += int(per_user.sum())
+        if on_disk:
+            pair_counts.update(zip(users.tolist(), per_user.tolist()))
+        else:
+            pairs = window_pairs(tokens, lengths, window)
+            split = np.split(pairs, np.cumsum(per_user)[:-1])
+            user_pairs.update(zip(users.tolist(), split))
     if total == 0:
         raise DataError(
             "no training pairs produced; sequences are too short for the window"
         )
-    return LocationVocabulary.from_locations(locations, counts.tolist()), pair_counts
-
-
-def build_pair_source(
-    store: "CheckinStore",
-    window: int,
-    sessionize_training: bool = True,
-    max_session_seconds: float = SIX_HOURS_SECONDS,
-) -> tuple[LocationVocabulary, PairSource]:
-    """Build the vocabulary and a :class:`PairSource` over any corpus store.
-
-    For an in-memory store this delegates to :func:`build_training_data`
-    (bit-identical to the historical path). For a disk-backed store it
-    makes **one streaming pass** over
-    :meth:`~repro.data.store.ShardedCheckinStore.iter_arrays` blocks in
-    store user order (see :func:`_scan_store`), so the scan's
-    peak memory is one block. Tokens are assigned in first-appearance
-    order, exactly as adding every user's check-ins in turn would, so
-    per-user pair arrays recomputed later are bit-identical to the eager
-    path.
-
-    Raises:
-        DataError: when no user yields a single training pair.
-    """
-    from repro.data.store import InMemoryCheckinStore
-
-    if isinstance(store, InMemoryCheckinStore):
-        vocabulary, user_pairs = build_training_data(
-            store.to_dataset(), window, sessionize_training, max_session_seconds
-        )
+    vocabulary = LocationVocabulary.from_locations(locations, counts.tolist())
+    if not isinstance(store, ShardedCheckinStore):
         return vocabulary, InMemoryPairSource(user_pairs)
-
-    vocabulary, pair_counts = _scan_store(
-        store, window, sessionize_training, max_session_seconds
-    )
     return vocabulary, StorePairSource(
         store,
         vocabulary,

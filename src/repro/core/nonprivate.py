@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from repro.core._pairs import build_training_data
+from repro.core._pairs import build_pair_source
 from repro.core.config import PLPConfig
 from repro.core.engine import (
     BucketExecutor,
@@ -145,9 +145,9 @@ class NonPrivateTrainer:
         Args:
             dataset: training users' check-ins, in any
                 :func:`repro.data.open_corpus` spelling. Non-private
-                training pools every user's pairs into a single bucket, so
-                a disk-backed store is **materialized in memory** here; use
-                the private trainers for out-of-core corpora.
+                training pools every user's pairs into a single bucket,
+                so each epoch reads every user's pairs; a disk-backed
+                store re-expands them from disk each epoch.
             epochs: full passes over the pair set.
             eval_fn: optional embeddings -> metrics callback.
             eval_every_epochs: evaluation cadence.
@@ -159,10 +159,12 @@ class NonPrivateTrainer:
             raise ConfigError(f"epochs must be >= 1, got {epochs}")
         if eval_every_epochs < 1:
             raise ConfigError(f"eval_every_epochs must be >= 1, got {eval_every_epochs}")
-        self.vocabulary, user_pairs = build_training_data(
-            open_corpus(dataset).to_dataset(), self.window, self.sessionize_training
+        self.vocabulary, pair_source = build_pair_source(
+            open_corpus(dataset), self.window, self.sessionize_training
         )
-        config = self._degenerate_config(len(user_pairs), epochs, eval_every_epochs)
+        config = self._degenerate_config(
+            len(pair_source.users), epochs, eval_every_epochs
+        )
         self.model = SkipGramModel(
             num_locations=self.vocabulary.size,
             embedding_dim=config.embedding_dim,
@@ -175,7 +177,7 @@ class NonPrivateTrainer:
         self.history = TrainingHistory()
 
         pipeline = StepPipeline(
-            config, self.model, user_pairs, root=self._rng, ledger=None
+            config, self.model, pair_source, root=self._rng, ledger=None
         )
         observers: list[Observer] = [
             HistoryObserver(self.history),

@@ -37,6 +37,7 @@ from __future__ import annotations
 import abc
 import json
 from collections import OrderedDict
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -63,9 +64,30 @@ _RECORD_DTYPE = np.dtype(
 _MANIFEST = "manifest.json"
 _INDEX = "index.npz"
 
+#: Check-ins per :meth:`InMemoryCheckinStore.iter_arrays` block (a block
+#: ends with the user that reaches it).
+_BLOCK_ROWS = 4096
+
 
 def _shard_name(index: int) -> str:
     return f"shard_{index:05d}.npy"
+
+
+_location = attrgetter("location")
+_timestamp = attrgetter("timestamp")
+
+
+def _flatten(
+    histories: list[UserHistory],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One :meth:`CheckinStore.iter_arrays` block of in-memory histories."""
+    users = np.fromiter((h.user for h in histories), np.int64, len(histories))
+    offsets = np.zeros(len(histories) + 1, dtype=np.int64)
+    np.cumsum([len(h) for h in histories], out=offsets[1:])
+    checkins = [checkin for h in histories for checkin in h.checkins]
+    locations = np.fromiter(map(_location, checkins), np.int64, len(checkins))
+    timestamps = np.fromiter(map(_timestamp, checkins), np.float64, len(checkins))
+    return users, offsets, locations, timestamps
 
 
 class CheckinStore(abc.ABC):
@@ -110,6 +132,19 @@ class CheckinStore(abc.ABC):
 
         Raises:
             DataError: for an unknown user.
+        """
+
+    @abc.abstractmethod
+    def iter_arrays(
+        self,
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """Stream the corpus as flat arrays, in user order.
+
+        Yields bounded ``(users, offsets, locations, timestamps)`` blocks:
+        user ``users[i]`` owns rows ``offsets[i]:offsets[i + 1]`` of
+        ``locations`` / ``timestamps``, in history order. A whole-corpus
+        scan (the training vocabulary and pair pass) reads these instead
+        of one :class:`~repro.types.CheckIn` per row.
         """
 
     @property
@@ -169,6 +204,22 @@ class InMemoryCheckinStore(CheckinStore):
 
     def history(self, user: int) -> UserHistory:
         return self.dataset.history(user)
+
+    def iter_arrays(
+        self,
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """Flatten the histories a block of about ``_BLOCK_ROWS`` check-ins
+        at a time, so the flat copy never holds the whole corpus."""
+        block: list[UserHistory] = []
+        rows = 0
+        for history in self.dataset:
+            block.append(history)
+            rows += len(history)
+            if rows >= _BLOCK_ROWS:
+                yield _flatten(block)
+                block, rows = [], 0
+        if block:
+            yield _flatten(block)
 
     def __contains__(self, user: int) -> bool:
         return user in self.dataset
@@ -317,18 +368,24 @@ class ShardedCheckinStore(CheckinStore):
         ]
         return UserHistory(user=user, checkins=checkins)
 
+    def history_arrays(self, user: int) -> tuple[np.ndarray, np.ndarray]:
+        """One user's ``(locations, timestamps)`` rows, in history order.
+
+        Raises:
+            DataError: for an unknown user.
+        """
+        at = self._position(user)
+        records = self._shard(int(self._shard_of[at]))
+        rows = records[int(self._start[at]) : int(self._stop[at])]
+        return (
+            np.ascontiguousarray(rows["location"]),
+            np.ascontiguousarray(rows["timestamp"]),
+        )
+
     def iter_arrays(
         self,
     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """Stream the corpus as flat arrays, in storage order.
-
-        Yields one ``(users, offsets, locations, timestamps)`` block per
-        run of index-adjacent users sharing a shard: user ``users[i]``
-        owns rows ``offsets[i]:offsets[i + 1]`` of ``locations`` /
-        ``timestamps``, in history order. A whole-corpus scan (the
-        training vocabulary pass) reads these instead of building one
-        :class:`~repro.types.CheckIn` per row.
-        """
+        """One block per run of index-adjacent users sharing a shard."""
         shard_of = self._shard_of
         cuts = np.flatnonzero(shard_of[1:] != shard_of[:-1]) + 1
         bounds = [0, *cuts.tolist(), self.num_users]

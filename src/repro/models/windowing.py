@@ -49,17 +49,37 @@ def pairs_from_sequences(
     """Stack the window pairs of many trajectories into an ``(n, 2)`` array.
 
     Row for row the pairs :func:`pairs_from_sequence` lists for each
-    trajectory in turn, built with array passes instead of a Python loop
-    per pair. Returns an empty ``(0, 2)`` int array when no pairs exist
-    (all sequences shorter than 2).
+    trajectory in turn (see :func:`window_pairs`). Returns an empty
+    ``(0, 2)`` int array when no pairs exist (all sequences shorter
+    than 2).
+
+    Raises:
+        ConfigError: when ``window < 1``, even for no sequences.
     """
     lengths: list[int] = []
     tokens: list[int] = []
     for sequence in sequences:
-        if window < 1:
-            raise ConfigError(f"window must be >= 1, got {window}")
         lengths.append(len(sequence))
         tokens.extend(sequence)
+    return window_pairs(
+        np.asarray(tokens, dtype=np.int64), np.asarray(lengths, dtype=np.int64), window
+    )
+
+
+def window_pairs(tokens: np.ndarray, lengths: np.ndarray, window: int) -> np.ndarray:
+    """The window pairs of trajectories stored back to back, in array passes.
+
+    Trajectory ``i`` is the next ``lengths[i]`` entries of ``tokens``.
+    Row for row the pairs :func:`pairs_from_sequence` lists for each
+    trajectory in turn, without a Python loop per pair: the one window
+    expansion behind :func:`pairs_from_sequences` and the training-data
+    scan of :mod:`repro.core._pairs`.
+
+    Raises:
+        ConfigError: when ``window < 1``.
+    """
+    if window < 1:
+        raise ConfigError(f"window must be >= 1, got {window}")
     counts = np.asarray(lengths, dtype=np.int64)
     if not window_pair_counts(counts, window).any():
         return np.empty((0, 2), dtype=np.int64)

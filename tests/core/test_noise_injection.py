@@ -34,10 +34,11 @@ def _noise_std_after_one_step(split_dataset, sigma, omega, grouping_factor):
     )
     trainer = PrivateLocationPredictor(config, rng=123)
     # Capture the initialization by re-seeding an identical model.
-    from repro.core._pairs import build_training_data
+    from repro.core._pairs import build_pair_source
+    from repro.data.store import open_corpus
     from repro.models.skipgram import SkipGramModel
 
-    vocabulary, _ = build_training_data(train, config.window)
+    vocabulary, _ = build_pair_source(open_corpus(train), config.window)
     reference = SkipGramModel(
         num_locations=vocabulary.size,
         embedding_dim=config.embedding_dim,

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.core._pairs import build_training_data
+from repro.core._pairs import build_pair_source
 from repro.data.checkins import CheckinDataset
-from repro.exceptions import DataError
+from repro.data.store import open_corpus
+from repro.exceptions import ConfigError, DataError
+from repro.models.windowing import pairs_from_sequences
 from repro.types import CheckIn
 
 
@@ -19,6 +20,14 @@ def _dataset(times_by_user: dict[int, list[float]]) -> CheckinDataset:
             checkins.append(CheckIn(user=user, location=location % 5, timestamp=t))
             location += 1
     return CheckinDataset(checkins)
+
+
+def build_training_data(dataset, window, sessionize_training=True):
+    """The vocabulary and every user's pair array of an in-memory corpus."""
+    vocabulary, source = build_pair_source(
+        open_corpus(dataset), window, sessionize_training
+    )
+    return vocabulary, {user: source.pairs(user) for user in source.users}
 
 
 class TestBuildTrainingData:
@@ -56,3 +65,14 @@ class TestBuildTrainingData:
         narrow_total = sum(p.shape[0] for p in narrow.values())
         wide_total = sum(p.shape[0] for p in wide.values())
         assert wide_total > narrow_total
+
+
+class TestWindowValidation:
+    def test_empty_input_still_checks_window(self):
+        with pytest.raises(ConfigError, match="window"):
+            pairs_from_sequences([], 0)
+
+    def test_scan_rejects_window_below_one(self, split_dataset):
+        train, _ = split_dataset
+        with pytest.raises(ConfigError, match="window"):
+            build_pair_source(open_corpus(train), window=0)

@@ -217,6 +217,22 @@ class TestNonPrivateTrainer:
         # Epochs 2, 4, and the final extra snapshot at 5.
         assert [record.step for record in history.evaluations] == [2, 4, 5]
 
+    def test_sharded_store_trains_like_memory(self, split_dataset, tmp_path):
+        from repro.data.store import write_sharded_store
+
+        train, _ = split_dataset
+        store = write_sharded_store(tmp_path / "s", train, users_per_shard=16)
+        trainers = []
+        for corpus in (train, store):
+            trainer = NonPrivateTrainer(embedding_dim=8, num_negatives=4, rng=0)
+            trainer.fit(corpus, epochs=2)
+            trainers.append(trainer)
+        memory, sharded = trainers
+        assert sharded.vocabulary.locations() == memory.vocabulary.locations()
+        np.testing.assert_array_equal(
+            sharded.model.params["W"], memory.model.params["W"]
+        )
+
     def test_not_fitted(self):
         with pytest.raises(NotFittedError):
             NonPrivateTrainer().embeddings()

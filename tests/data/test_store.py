@@ -23,6 +23,7 @@ from repro.data.synthetic import (
     materialize_synthetic_store,
 )
 from repro.exceptions import DataError
+from repro.types import CheckIn
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +207,33 @@ class TestIterArrays:
         assert got_locations == locations
         assert got_times == times
 
+    def test_in_memory_blocks_are_bounded_and_flatten_in_order(
+        self, dataset, monkeypatch
+    ):
+        import repro.data.store as store_module
+
+        monkeypatch.setattr(store_module, "_BLOCK_ROWS", 40)
+        store = InMemoryCheckinStore(dataset)
+        blocks = list(store.iter_arrays())
+        longest = max(len(history) for history in dataset)
+        assert len(blocks) > 2
+        for block_users, block_offsets, block_locations, block_times in blocks:
+            assert block_offsets[0] == 0
+            assert block_offsets[-1] == block_locations.size == block_times.size
+            assert block_offsets.size == block_users.size + 1
+            # A block closes with the user that reaches the bound.
+            assert block_offsets[-2] < 40
+            assert block_locations.size < 40 + longest
+        users, offsets, locations, times = self._expected(store)
+        assert np.concatenate([b[0] for b in blocks]).tolist() == users
+        assert np.concatenate([b[2] for b in blocks]).tolist() == locations
+        assert np.concatenate([b[3] for b in blocks]).tolist() == times
+        bases = np.cumsum([0] + [b[2].size for b in blocks[:-1]])
+        got_offsets = np.concatenate(
+            [[0]] + [b[1][1:] + base for b, base in zip(blocks, bases)]
+        ).tolist()
+        assert got_offsets == offsets
+
 
 class TestOpenCorpus:
     def test_store_passes_through(self, dataset):
@@ -302,24 +330,84 @@ class TestTrainingFromStore:
         )
 
 
+#: Edge histories as stored (locations, timestamps); ids 100+ enter the
+#: vocabulary mid-corpus.
+_EDGE_HISTORIES = {
+    9001: ([100], [0.0]),  # one check-in: no pairs
+    9002: ([3, 101, 3, 8], [10.0, 10.0, 10.0, 10.0]),  # equal timestamps
+    9003: ([4, 102, 9, 2, 6], [5e4, 0.0, 3e4, 1e5, 2e4]),  # unsorted
+    9004: ([1, 2, 103, 4], [0.0, float("nan"), 100.0, 3e4]),  # a NaN
+}
+
+
+def _scan_corpus(kind, tmp_path, monkeypatch):
+    """60 synthetic users with the edge users in the middle, as a store
+    whose array blocks end mid-corpus."""
+    config = SyntheticConfig(num_users=60, num_locations=45, num_clusters=4)
+    synthetic = CheckinDataset(generate_checkins(config, rng=2))
+    users = synthetic.users
+    histories = {
+        user: (synthetic.history(user).locations(), synthetic.history(user).timestamps())
+        for user in users[:30]
+    }
+    histories.update(_EDGE_HISTORIES)
+    histories.update(
+        (user, (synthetic.history(user).locations(), synthetic.history(user).timestamps()))
+        for user in users[30:]
+    )
+    if kind == "memory":
+        import repro.data.store as store_module
+
+        monkeypatch.setattr(store_module, "_BLOCK_ROWS", 150)
+        return InMemoryCheckinStore(
+            CheckinDataset(
+                CheckIn(user=user, location=location, timestamp=timestamp)
+                for user, (locations, times) in histories.items()
+                for location, timestamp in zip(locations, times)
+            )
+        )
+    # The writer stores rows as given, so 9003 stays unsorted on disk.
+    writer = ShardedStoreWriter(tmp_path / "s", users_per_shard=7)
+    for user, (locations, times) in histories.items():
+        writer.append(user, locations, times)
+    return writer.finalize()
+
+
 class TestStoreScan:
-    """The array scan builds the vocabulary and pair counts that adding
-    every stored check-in one by one builds."""
+    """The array scan builds the vocabulary and pairs that adding every
+    stored check-in one by one builds (``sessionize`` +
+    ``LocationVocabulary.add`` + ``pairs_from_sequence`` per history), on
+    in-memory and sharded corpora alike."""
 
     @pytest.mark.parametrize("sessionize_training", [True, False])
     @pytest.mark.parametrize("window", [1, 3])
-    def test_matches_per_history_scan(self, tmp_path, window, sessionize_training):
+    def test_matches_per_history_scan(
+        self, tmp_path, monkeypatch, window, sessionize_training
+    ):
+        for kind in ("memory", "sharded"):
+            store = _scan_corpus(kind, tmp_path, monkeypatch)
+            self._check_store(store, kind, window, sessionize_training)
+
+    @staticmethod
+    def _check_store(store, kind, window, sessionize_training):
         from repro.core._pairs import build_pair_source
         from repro.data.splitting import sessionize
         from repro.models.vocabulary import LocationVocabulary
         from repro.models.windowing import pairs_from_sequence
 
-        config = SyntheticConfig(num_users=60, num_locations=45, num_clusters=4)
-        store = materialize_synthetic_store(
-            config, path=tmp_path / "s", rng=2, users_per_shard=7
-        )
+        blocks = [block[0].tolist() for block in store.iter_arrays()]
+        assert len(blocks) > 2, kind
+        # Blocks end mid-corpus, and one holds edge and synthetic users.
+        assert any(
+            set(_EDGE_HISTORIES) & set(block) and set(block) - set(_EDGE_HISTORIES)
+            for block in blocks
+        ), kind
+        if kind == "sharded":
+            times = store.history(9003).timestamps()
+            assert times != sorted(times)
+
         vocabulary = LocationVocabulary()
-        pair_counts = {}
+        expected = {}
         for history in store:
             sequences = (
                 [list(t.locations) for t in sessionize(history)]
@@ -327,12 +415,15 @@ class TestStoreScan:
                 else [history.locations()]
             )
             tokens = [[vocabulary.add(loc) for loc in seq] for seq in sequences]
-            pair_counts[history.user] = sum(
-                len(pairs_from_sequence(seq, window)) for seq in tokens
-            )
+            pairs = [pair for seq in tokens for pair in pairs_from_sequence(seq, window)]
+            expected[history.user] = np.array(pairs, dtype=np.int64).reshape(-1, 2)
         scanned, source = build_pair_source(store, window, sessionize_training)
-        assert scanned.locations() == vocabulary.locations()
+        assert scanned.locations() == vocabulary.locations(), kind
         assert list(scanned.counts().items()) == list(vocabulary.counts().items())
-        assert {user: source.pair_count(user) for user in store.users} == pair_counts
-        for user in store.users[:10]:
-            assert source.pairs(user).shape[0] == pair_counts[user]
+        assert source.users == store.users
+        for user in store.users:
+            assert source.pair_count(user) == expected[user].shape[0], (kind, user)
+            got = source.pairs(user)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, expected[user], err_msg=f"{kind} {user}")
+        assert source.pair_count(9001) == 0
