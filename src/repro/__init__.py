@@ -64,12 +64,10 @@ from repro.types import CheckIn, Trajectory
 from repro.core import (
     BucketExecutor,
     NonPrivateTrainer,
-    ParallelExecutor,
     PLPConfig,
     PrivateLocationPredictor,
     SerialExecutor,
     ShardedExecutor,
-    StepObserver,
     TrainingEngine,
     UserLevelDPSGD,
 )
@@ -147,8 +145,6 @@ __all__ = [
     "BucketExecutor",
     "SerialExecutor",
     "ShardedExecutor",
-    "ParallelExecutor",
-    "StepObserver",
     # data
     "CheckinDataset",
     "SyntheticConfig",

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
-from repro._compat import register_deprecation, warn_deprecated
 from repro.core.config import PLPConfig
 from repro.data.checkins import CheckinDataset
 from repro.data.splitting import sessionize_dataset
@@ -56,17 +55,6 @@ from repro.observability.tracing import Tracer
 from repro.serving.api import ServingConfig
 
 _METHODS = ("plp", "dpsgd", "nonprivate")
-
-# Live serve() shims (see repro._compat for the removal policy).
-register_deprecation(
-    "repro.api.serve(model_path)",
-    "serve(ServingConfig(artifacts=...))",
-)
-register_deprecation(
-    "repro.api.serve(include_counts=...)",
-    "ServingConfig(include_counts=...)",
-)
-
 
 @dataclass(slots=True)
 class TrainedModel:
@@ -179,8 +167,7 @@ def train(
             spans and ``repro_engine_*`` metrics into it. Attaching one
             never changes the trained model or the ledger.
         **engine_options: forwarded to the trainer — ``executor``
-            (``"serial"`` or the process pool ``"sharded"``; ``"parallel"``
-            is a deprecated alias of ``"sharded"``), ``workers``,
+            (``"serial"`` or the process pool ``"sharded"``), ``workers``,
             ``observers``.
     """
     if method not in _METHODS:
@@ -251,7 +238,7 @@ def load(path: str | Path) -> TrainedModel:
 
 
 def serve(
-    config: "ServingConfig | str | Path | None" = None,
+    config: "ServingConfig | None" = None,
     with_observability: "Observability | None" = None,
     **overrides,
 ) -> None:
@@ -272,35 +259,21 @@ def serve(
     load shedding, micro-batched scoring, and per-model metrics.
 
     Args:
-        config: the deployment config. Passing an artifact *path* here is
-            the deprecated single-model spelling and warns — use
+        config: the deployment config; one artifact is
             ``ServingConfig(artifacts={"default": path})``.
         with_observability: optional :class:`Observability` bundle backing
             the serving metrics and spans.
         **overrides: individual :class:`ServingConfig` fields, applied on
-            top of ``config`` (``include_counts=`` is deprecated here —
-            set it on the config instead).
+            top of ``config``.
 
     Raises:
         ConfigError: unknown override field or invalid config.
     """
-    if isinstance(config, (str, Path)):
-        warn_deprecated(
-            "repro.api.serve(model_path)",
-            "serve(ServingConfig(artifacts=...))",
-        )
-        config = ServingConfig(artifacts=(("default", str(config)),))
-    elif config is None:
+    if config is None:
         config = ServingConfig()
     elif not isinstance(config, ServingConfig):
         raise ConfigError(
-            "config must be a ServingConfig or an artifact path, got "
-            f"{type(config).__name__}"
-        )
-    if "include_counts" in overrides:
-        warn_deprecated(
-            "repro.api.serve(include_counts=...)",
-            "ServingConfig(include_counts=...)",
+            f"config must be a ServingConfig, got {type(config).__name__}"
         )
     if overrides:
         try:

@@ -62,7 +62,6 @@ import numpy as np
 import repro
 from repro.core.engine.blas import available_cores
 from repro.core.engine.engine import STAGE_NAMES
-from repro.nn.backends import numba_kernels
 from repro.observability import peak_rss_bytes
 
 __all__ = [
@@ -189,8 +188,7 @@ def measure_kernel_speedup(repeats: int = 3, seed: int = 7) -> dict:
     ``backend`` overridden). Runs are interleaved — one fast run, one
     reference run, ``repeats`` times — and the best run per backend is
     kept, so a noisy-neighbor blip degrades both backends alike instead
-    of skewing the ratio. The ``numba`` backend is timed only when numba
-    is actually importable (otherwise it would just re-measure ``fast``).
+    of skewing the ratio.
     """
     spec = _KERNEL_WORKLOAD
     raw = repro.generate_checkins(
@@ -203,13 +201,10 @@ def measure_kernel_speedup(repeats: int = 3, seed: int = 7) -> dict:
     )
     dataset = repro.CheckinDataset(repro.paper_preprocessing(raw))
 
-    backends = ["fast", "reference"]
-    if numba_kernels.NUMBA_AVAILABLE:
-        backends.insert(1, "numba")
     _local_train_seconds(dataset, "fast", seed)  # warm caches/allocator
     best: dict[str, float] = {}
     for _ in range(max(1, repeats)):
-        for backend in backends:
+        for backend in ("fast", "reference"):
             seconds = _local_train_seconds(dataset, backend, seed)
             best[backend] = min(best.get(backend, float("inf")), seconds)
 
@@ -228,7 +223,6 @@ def measure_kernel_speedup(repeats: int = 3, seed: int = 7) -> dict:
             for backend, seconds in sorted(best.items())
             if backend != "reference"
         },
-        "numba_compiled": bool(numba_kernels.NUMBA_AVAILABLE),
     }
 
 
@@ -906,8 +900,6 @@ def validate_report(report: dict) -> None:
     for backend, ratio in (speedups or {}).items():
         expect(isinstance(ratio, float) and ratio > 0,
                f"kernels.speedup_vs_reference.{backend}: expected positive float")
-    expect(isinstance(kernels.get("numba_compiled"), bool),
-           "kernels.numba_compiled: expected bool")
 
     sharded = report.get("sharded") or {}
     serial_section = sharded.get("serial") or {}
@@ -1132,10 +1124,10 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=7, help="workload seed")
     parser.add_argument(
         "--backend",
-        choices=("reference", "fast", "numba"),
+        choices=("reference", "fast"),
         default="reference",
         help="compute backend for the pipeline training run (the kernel "
-        "comparison always times every available backend)",
+        "comparison always times both backends)",
     )
     parser.add_argument(
         "--baseline",

@@ -32,7 +32,6 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro._compat import register_deprecation, warn_deprecated
 from repro.analysis.runner import add_lint_arguments, run_from_args
 from repro.attacks import MembershipInferenceAttack
 from repro.core.config import PLPConfig
@@ -71,49 +70,6 @@ _TRAIN_FLAG_DEFAULTS = {
     "max_steps": None,
     "backend": "reference",
 }
-
-
-# Renamed/retired flags and their replacement spelling. Every entry is
-# still accepted (wired through _DeprecatedAlias) but warns on use;
-# warning mechanics and removal policy live in :mod:`repro._compat`.
-_DEPRECATED_ALIASES = {
-    "--negatives": "--num-negatives",
-    "--metrics-jsonl": "--metrics-out PATH --metrics-format jsonl",
-}
-
-for _old, _new in _DEPRECATED_ALIASES.items():
-    register_deprecation(f"repro train {_old}", _new)
-
-register_deprecation("repro train --executor parallel", "--executor sharded")
-
-register_deprecation(
-    "repro serve --model PATH",
-    "repro serve PATH (positional; NAME=PATH to host many) with "
-    "--model NAME to pick the default",
-)
-
-
-class _DeprecatedAlias(argparse.Action):
-    """Accepts a renamed flag, warning that the new spelling should be used."""
-
-    def __init__(self, option_strings, dest, new_option=None, **kwargs):
-        self.new_option = new_option
-        super().__init__(option_strings, dest, **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        replacement = self.new_option or _DEPRECATED_ALIASES.get(
-            option_string or "", "the current flag"
-        )
-        warn_deprecated(option_string or "this flag", replacement, stacklevel=1)
-        setattr(namespace, self.dest, values)
-
-
-def _executor_name(value: str) -> str:
-    """``--executor`` type: maps the retired ``parallel`` name, warning."""
-    if value == "parallel":
-        warn_deprecated("--executor parallel", "--executor sharded", stacklevel=1)
-        return "sharded"
-    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -181,35 +137,25 @@ def _build_parser() -> argparse.ArgumentParser:
     train.add_argument(
         "--num-negatives", dest="num_negatives", type=int, default=suppress
     )
-    train.add_argument(
-        "--negatives",
-        dest="num_negatives",
-        type=int,
-        default=suppress,
-        action=_DeprecatedAlias,
-        new_option="--num-negatives",
-        help=argparse.SUPPRESS,
-    )
     train.add_argument("--max-steps", type=int, default=suppress)
     train.add_argument(
         "--backend",
         choices=("reference", "fast", "numba"),
         default=suppress,
-        help="compute kernel backend: reference (exact float64), fast "
-        "(float32 fused kernels, same privacy accounting), numba "
-        "(JIT-compiled; falls back to fast if numba is missing)",
+        help="compute kernel backend: reference (exact float64) or fast "
+        "(float32 fused kernels, same privacy accounting); numba is a "
+        "deprecated spelling of fast",
     )
     train.add_argument("--epochs", type=int, default=5, help="non-private epochs")
     train.add_argument("--seed", type=int, default=7)
     train.add_argument(
         "--executor",
-        type=_executor_name,
         choices=("serial", "sharded"),
         default="serial",
         help="bucket execution backend: serial, or sharded (the process "
         "pool: workers resolve each bucket's pairs from the corpus when "
         "omega is 1, otherwise receive them). Results are bit-identical "
-        "across both. 'parallel' is a deprecated alias of sharded.",
+        "across both.",
     )
     train.add_argument(
         "--workers",
@@ -223,12 +169,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="with --synthetic --executor sharded: materialize the "
         "synthetic corpus into this sharded-store directory (raw, "
         "unpreprocessed) and train out-of-core from it",
-    )
-    train.add_argument(
-        "--metrics-jsonl",
-        default=None,
-        action=_DeprecatedAlias,
-        help=argparse.SUPPRESS,
     )
     train.add_argument(
         "--trace-jsonl",
@@ -279,8 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--model",
         default=None,
-        help="default model for requests that name none, as NAME[@VERSION] "
-        "(deprecated: a bare artifact path, kept for old invocations)",
+        help="default model for requests that name none, as NAME[@VERSION]",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8000)
@@ -562,11 +501,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     corpus = _resolve_train_corpus(args)
     print(f"training on {corpus.num_users} users / {corpus.num_locations} POIs")
 
-    observers = []
-    if args.metrics_jsonl:
-        from repro.core.engine import JsonlMetricsObserver
-
-        observers.append(JsonlMetricsObserver(args.metrics_jsonl))
     observability = None
     if args.trace_jsonl or args.metrics_out:
         from repro.observability import with_observability
@@ -579,7 +513,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     engine_opts = dict(
         executor=args.executor,
         workers=args.workers,
-        observers=observers,
         observability=observability,
     )
     config = _resolve_train_config(args)
@@ -655,13 +588,6 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
     return 0
 
 
-def _looks_like_artifact_path(value: str) -> bool:
-    """Heuristic for the deprecated ``--model PATH`` spelling."""
-    if "@" in value:
-        return False
-    return value.endswith(".npz") or "/" in value or Path(value).exists()
-
-
 def _serve_config_from_args(args: argparse.Namespace) -> "ServingConfig":
     """Resolve the serve flags into a :class:`ServingConfig` value."""
     from repro.serving.api import ModelRef, ServingConfig
@@ -681,22 +607,14 @@ def _serve_config_from_args(args: argparse.Namespace) -> "ServingConfig":
 
     default_model: str | None = None
     if args.model is not None:
-        if not artifacts and _looks_like_artifact_path(args.model):
-            warn_deprecated(
-                "repro serve --model PATH",
-                "repro serve PATH (positional; NAME=PATH to host many) "
-                "with --model NAME to pick the default",
+        ref = ModelRef.parse(args.model)
+        if ref.version not in (None, 1):
+            raise ConfigError(
+                "--model can only pin @1: artifacts publish as "
+                f"version 1 at startup (got {args.model!r}); pin "
+                "later versions per request instead"
             )
-            artifacts.append(("default", args.model))
-        else:
-            ref = ModelRef.parse(args.model)
-            if ref.version not in (None, 1):
-                raise ConfigError(
-                    "--model can only pin @1: artifacts publish as "
-                    f"version 1 at startup (got {args.model!r}); pin "
-                    "later versions per request instead"
-                )
-            default_model = ref.name
+        default_model = ref.name
 
     if not artifacts:
         raise ConfigError(

@@ -39,10 +39,8 @@ from repro.core.engine import (
     BucketExecutor,
     CheckpointObserver,
     JsonlMetricsObserver,
-    ParallelExecutor,
     SerialExecutor,
     ShardedExecutor,
-    StepObserver,
     StepPipeline,
     StepResult,
     TrainingEngine,
@@ -59,9 +57,7 @@ __all__ = [
     "BucketExecutor",
     "SerialExecutor",
     "ShardedExecutor",
-    "ParallelExecutor",
     "make_executor",
-    "StepObserver",
     "JsonlMetricsObserver",
     "CheckpointObserver",
     "PLPConfig",

@@ -11,29 +11,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Any
 
-from repro._compat import register_deprecation, resolve_alias
 from repro.exceptions import ConfigError
-
-# Renamed/paper-symbol keyword shims accepted (with a DeprecationWarning)
-# by :meth:`PLPConfig.with_overrides`. Keys are the paper's Table 1 symbols
-# and historical kwarg spellings; values are the canonical field names.
-# Warning mechanics and removal policy live in :mod:`repro._compat`.
-_DEPRECATED_ALIASES = {
-    "dim": "embedding_dim",
-    "neg": "num_negatives",
-    "negatives": "num_negatives",
-    "win": "window",
-    "b": "batch_size",
-    "eta": "learning_rate",
-    "lambda_": "grouping_factor",
-    "q": "sampling_probability",
-    "C": "clip_bound",
-    "sigma": "noise_multiplier",
-    "omega": "split_factor",
-}
-
-for _alias, _canonical in _DEPRECATED_ALIASES.items():
-    register_deprecation(f"PLPConfig({_alias}=...)", f"{_canonical}=...")
 
 _GROUPING_STRATEGIES = ("random", "equal_frequency")
 _CLIPPING_MODES = ("per_layer", "global")
@@ -94,9 +72,8 @@ class PLPConfig:
         backend: compute kernel backend for local training —
             ``"reference"`` (exact float64, bit-stable results),
             ``"fast"`` (float32 fused kernels, same privacy accounting,
-            embeddings within float32 tolerance), or ``"numba"``
-            (JIT-compiled fast kernels; degrades to ``"fast"`` with a
-            warning when numba is not installed). Swapping backends never
+            embeddings within float32 tolerance); ``"numba"`` is a
+            deprecated spelling of ``"fast"``. Swapping backends never
             changes the privacy ledger (see ``docs/kernels.md``).
     """
 
@@ -196,29 +173,16 @@ class PLPConfig:
     def with_overrides(self, **overrides: Any) -> "PLPConfig":
         """A copy of the config with the given fields replaced (re-validated).
 
-        Accepts canonical field names; the paper's Table 1 symbols and
-        historical kwarg spellings (``q``, ``sigma``, ``C``, ``eta``,
-        ``lambda_``, ``dim``, ``neg``, ``negatives``, ``win``, ``b``,
-        ``omega``) are still honored with a :class:`DeprecationWarning`.
+        Accepts canonical field names only.
 
         Raises:
-            ConfigError: on an unknown field, on an alias colliding with
-                its canonical name, or on an invalid resulting config.
+            ConfigError: on an unknown field or an invalid resulting config.
         """
         valid = {field.name for field in fields(self)}
-        resolved: dict[str, Any] = {}
-        for key, value in overrides.items():
-            key = resolve_alias(
-                key, _DEPRECATED_ALIASES, context="PLPConfig override"
-            )
+        for key in overrides:
             if key not in valid:
                 raise ConfigError(f"unknown PLPConfig field {key!r}")
-            if key in resolved:
-                raise ConfigError(
-                    f"duplicate override for PLPConfig field {key!r}"
-                )
-            resolved[key] = value
-        return replace(self, **resolved)
+        return replace(self, **overrides)
 
     def as_dict(self) -> dict[str, Any]:
         """Plain-dict form, JSON-serializable; round-trips via
@@ -229,8 +193,7 @@ class PLPConfig:
     def from_dict(cls, values: dict[str, Any]) -> "PLPConfig":
         """Build a config from a (possibly partial) field dict.
 
-        Unlisted fields keep their defaults; deprecated aliases are
-        accepted as in :meth:`with_overrides`. This is the inverse of
+        Unlisted fields keep their defaults. This is the inverse of
         :meth:`as_dict` and the entry point for ``repro train --config``.
         """
         if not isinstance(values, dict):

@@ -10,12 +10,10 @@ Three layers, composed by the trainers in :mod:`repro.core`:
   process pool :class:`ShardedExecutor` (user ids + theta over the wire
   with pairs resolved worker-side when the source allows it, otherwise
   materialized pairs) — bit-identical for the same seed.
-  ``ParallelExecutor`` remains as a deprecated alias of the pool.
 - **Observers** (:mod:`~repro.core.engine.observers`): callbacks carrying
   history recording, stop conditions, evaluation scheduling, JSONL
   metrics, and checkpointing. Their base class is the unified
-  :class:`repro.observability.Observer` (re-exported here);
-  ``StepObserver`` remains as a deprecated alias.
+  :class:`repro.observability.Observer` (re-exported here).
 
 :class:`TrainingEngine` (:mod:`~repro.core.engine.engine`) wires the three
 together; pass it an :class:`repro.observability.Observability` bundle for
@@ -27,7 +25,6 @@ from repro.core.engine.executors import (
     BucketExecutor,
     BucketJob,
     LocalTrainSpec,
-    ParallelExecutor,
     SerialExecutor,
     ShardedExecutor,
     make_executor,
@@ -40,7 +37,6 @@ from repro.core.engine.observers import (
     HistoryObserver,
     JsonlMetricsObserver,
     MaxStepsObserver,
-    StepObserver,
 )
 from repro.observability.observer import Observer
 from repro.core.engine.stages import (
@@ -69,14 +65,12 @@ __all__ = [
     "AccountResult",
     "BucketExecutor",
     "SerialExecutor",
-    "ParallelExecutor",
     "ShardedExecutor",
     "BucketJob",
     "LocalTrainSpec",
     "make_executor",
     "run_bucket_chunk",
     "Observer",
-    "StepObserver",
     "HistoryObserver",
     "BudgetStopObserver",
     "MaxStepsObserver",

@@ -43,7 +43,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro._compat import deprecated_class_alias, register_deprecation, warn_deprecated
 from repro.core._pairs import PairSource, PairSourceSpec
 from repro.core.bucket import BucketUpdate, model_updates_from_buckets
 from repro.core.engine.blas import available_cores, limit_blas_threads
@@ -456,14 +455,6 @@ def _chunk_evenly(jobs: list[BucketJob], parts: int) -> list[list[BucketJob]]:
     return chunks
 
 
-#: Deprecated spelling of the process pool, kept for old imports.
-ParallelExecutor = deprecated_class_alias(
-    "ParallelExecutor", __name__, ShardedExecutor, "repro.core.engine.ShardedExecutor"
-)
-
-register_deprecation('executor="parallel"', 'executor="sharded"')
-
-
 def make_executor(
     kind: "str | BucketExecutor | None", workers: int | None = None
 ) -> tuple[BucketExecutor, bool]:
@@ -472,8 +463,7 @@ def make_executor(
     Args:
         kind: ``"serial"``, ``"sharded"`` (the process pool), ``None``
             (= serial), or an already-built :class:`BucketExecutor`
-            (returned as-is). ``"parallel"`` is a deprecated spelling of
-            ``"sharded"``.
+            (returned as-is).
         workers: worker count for the process pool.
 
     Returns:
@@ -484,9 +474,6 @@ def make_executor(
         return kind, False
     if kind is None or kind == "serial":
         return SerialExecutor(), True
-    if kind == "parallel":
-        warn_deprecated('executor="parallel"', 'executor="sharded"')
-        kind = "sharded"
     if kind == "sharded":
         return ShardedExecutor(max_workers=workers), True
     raise ConfigError(

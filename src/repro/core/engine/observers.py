@@ -13,11 +13,6 @@ Stop conditions call :meth:`EngineContext.request_stop`; the first
 requested reason wins, so observer registration order is the stop-priority
 order (the trainer registers the budget stop before the max-steps stop,
 preserving the legacy tie-break on a step that triggers both).
-
-``StepObserver`` — the engine's historical base class — remains importable
-here as a thin deprecated alias of the unified
-:class:`repro.observability.Observer`; subclassing or instantiating it
-emits a :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
@@ -26,7 +21,6 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
-from repro._compat import deprecated_class_alias
 from repro.core.history import StepRecord, TrainingHistory
 from repro.observability.observer import Observer
 
@@ -34,13 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.bucket import BucketUpdate
     from repro.core.engine.engine import EngineContext
     from repro.core.engine.stages import StepResult
-
-#: The engine's historical observer base class; subclassing or
-#: instantiating it warns (see :mod:`repro._compat` for the policy).
-StepObserver = deprecated_class_alias(
-    "StepObserver", __name__, Observer, "repro.observability.Observer"
-)
-
 
 class HistoryObserver(Observer):
     """Records one :class:`StepRecord` per step into a training history.

@@ -56,8 +56,8 @@ class NonPrivateTrainer:
         learning_rate: the paper's ``eta`` (default 0.06).
         loss: candidate-sampling loss name.
         negative_sharing: "batch" (TF-style shared negatives) or "per_pair".
-        backend: compute kernel backend (``"reference"``, ``"fast"``,
-            ``"numba"``), as in :attr:`PLPConfig.backend <repro.core.config.PLPConfig>`.
+        backend: compute kernel backend (``"reference"`` or ``"fast"``),
+            as in :attr:`PLPConfig.backend <repro.core.config.PLPConfig>`.
         sessionize_training: expand windows within 6-hour sessions.
         rng: seed or generator.
         executor: bucket execution backend (``"serial"``, the process

@@ -78,7 +78,7 @@ class PrivateLocationPredictor:
             source has a picklable spec, otherwise receive materialized
             pairs), or a ready :class:`~repro.core.engine.BucketExecutor`
             instance (kept open across ``fit`` calls; the caller closes
-            it). ``"parallel"`` is a deprecated alias of ``"sharded"``.
+            it).
         workers: worker-process count for the process pool (default: all
             cores).
         observers: extra :class:`~repro.observability.Observer` instances

@@ -54,9 +54,8 @@ class SkipGramModel:
             faster); ``"per_pair"`` draws fresh negatives for every pair
             (the textbook SGNS formulation).
         rng: randomness for initialization.
-        backend: compute backend name (``"reference"``, ``"fast"``,
-            ``"numba"``) or a :class:`~repro.nn.backends.KernelBackend`
-            instance.
+        backend: compute backend name (``"reference"`` or ``"fast"``) or
+            a :class:`~repro.nn.backends.KernelBackend` instance.
     """
 
     def __init__(

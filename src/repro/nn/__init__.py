@@ -4,7 +4,7 @@ The paper trains its skip-gram in TensorFlow; this package is the
 from-scratch replacement: named parameter sets, initializers, numerically
 stable primitives, the three candidate-sampling losses (sampled softmax,
 NCE, sigmoid negative sampling) with exact analytic gradients, and the
-optimizers (SGD, Momentum, Adam and its DP variant).
+DP-Adam server optimizer.
 """
 
 from repro.nn.parameters import ParameterSet
@@ -28,7 +28,7 @@ from repro.nn.losses import (
     SampledSoftmaxLoss,
     make_loss,
 )
-from repro.nn.optimizers import SGD, Adam, DPAdam, Momentum, Optimizer
+from repro.nn.optimizers import DPAdam
 
 __all__ = [
     "ParameterSet",
@@ -46,9 +46,5 @@ __all__ = [
     "NegativeSamplingLoss",
     "NoiseContrastiveEstimationLoss",
     "make_loss",
-    "Optimizer",
-    "SGD",
-    "Momentum",
-    "Adam",
     "DPAdam",
 ]

@@ -8,9 +8,9 @@ Selection is by name through :func:`get_backend` (the same names
 - ``"fast"`` — compact-gather float32 fused bucket updates with a
   precomputed sigmoid table. Same ledger bits, embeddings within float32
   tolerance of the reference.
-- ``"numba"`` — the fast design with ``@njit``-compiled inner loops.
-  numba is optional; when it is not installed this name degrades to the
-  fast backend with a ``RuntimeWarning``.
+
+``"numba"`` is a deprecated spelling of ``"fast"`` (see
+:mod:`repro._compat`).
 
 Instances are stateless singletons, so handing one to a process-pool
 worker pickles a class reference, nothing more.
@@ -18,8 +18,7 @@ worker pickles a class reference, nothing more.
 
 from __future__ import annotations
 
-import warnings
-
+from repro._compat import register_deprecation, warn_deprecated
 from repro.exceptions import ConfigError
 from repro.nn.backends.base import (
     BIAS,
@@ -34,8 +33,6 @@ from repro.nn.backends.base import (
     empty_bucket_delta,
 )
 from repro.nn.backends.fast import FastBackend
-from repro.nn.backends.numba_backend import NumbaBackend
-from repro.nn.backends.numba_kernels import NUMBA_AVAILABLE
 from repro.nn.backends.reference import ReferenceBackend
 
 __all__ = [
@@ -47,63 +44,43 @@ __all__ = [
     "BucketDelta",
     "KernelBackend",
     "LocalUpdateSpec",
-    "NUMBA_AVAILABLE",
     "BACKEND_NAMES",
     "FastBackend",
-    "NumbaBackend",
     "ReferenceBackend",
-    "available_backends",
     "clip_bucket_delta",
     "empty_bucket_delta",
     "get_backend",
 ]
 
-#: Every name ``get_backend`` accepts, installed or not.
-BACKEND_NAMES = ("reference", "fast", "numba")
+#: Every backend name :func:`get_backend` builds.
+BACKEND_NAMES = ("reference", "fast")
+
+register_deprecation('backend="numba"', 'backend="fast"')
 
 _instances: dict[str, KernelBackend] = {}
-
-
-def available_backends() -> tuple[str, ...]:
-    """Backend names that run natively in this environment.
-
-    ``"numba"`` is listed only when the numba compiler is importable;
-    requesting it anyway is not an error (it falls back to ``"fast"``).
-    """
-    if NUMBA_AVAILABLE:
-        return BACKEND_NAMES
-    return ("reference", "fast")
 
 
 def get_backend(name: str) -> KernelBackend:
     """The cached backend instance for ``name``.
 
     Raises:
-        ConfigError: for a name outside :data:`BACKEND_NAMES`.
+        ConfigError: for a name outside :data:`BACKEND_NAMES` (other than
+            the deprecated ``"numba"``).
 
     Warns:
-        RuntimeWarning: when ``"numba"`` is requested without numba
-            installed; the fast backend is returned instead.
+        DeprecationWarning: for ``"numba"``, which returns the fast
+            backend.
     """
+    if name == "numba":
+        warn_deprecated('backend="numba"', 'backend="fast"')
+        name = "fast"
     if name not in BACKEND_NAMES:
         raise ConfigError(
             f"unknown backend {name!r}; expected one of {BACKEND_NAMES}"
         )
-    if name == "numba" and not NUMBA_AVAILABLE:
-        warnings.warn(
-            "backend 'numba' requested but numba is not installed; "
-            "falling back to the 'fast' backend",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        name = "fast"
     instance = _instances.get(name)
     if instance is None:
-        cls = {
-            "reference": ReferenceBackend,
-            "fast": FastBackend,
-            "numba": NumbaBackend,
-        }[name]
+        cls = {"reference": ReferenceBackend, "fast": FastBackend}[name]
         instance = cls()
         _instances[name] = instance
     return instance

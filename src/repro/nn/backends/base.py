@@ -21,7 +21,7 @@ equivalence suite in ``tests/nn/test_backends.py``):
   samples, noise) is drawn by the orchestration layer
   (:mod:`repro.core.bucket`, :mod:`repro.core.engine.stages`) *before* a
   backend runs, from ``rng.derive`` sub-streams. A backend is a pure
-  function of its inputs, which keeps serial/parallel executors and all
+  function of its inputs, which keeps the serial and sharded executors and all
   backends on the same sample path.
 - **Embeddings track the reference within the accumulation dtype.** The
   ``reference`` backend is the float64 definition of the math; lower

@@ -1,19 +1,15 @@
-"""First-order optimizers.
+"""The DP-Adam server optimizer.
 
-Used in two places:
+The *outer* (server) update of Algorithm 1 can be the plain additive rule
+of line 10 (``theta += g_hat``) or the differentially private Adam variant
+the paper describes in Section 5.1: "we implement the optimizer in a
+differentially private manner by tracking an exponential moving average of
+the noisy gradient and the squared noisy gradient" (Gylberth et al. 2017).
+Because the DP noise is injected *before* the optimizer sees the update,
+DP-Adam is mathematically Adam applied to the noisy pseudo-gradient —
+which is exactly what :class:`DPAdam` is.
 
-- the *inner* (per-bucket) loop of Algorithm 1 runs plain SGD steps on the
-  bucket's batches;
-- the *outer* (server) update can be the plain additive rule of line 10
-  (``theta += g_hat``) or the differentially private Adam variant the paper
-  describes in Section 5.1: "we implement the optimizer in a differentially
-  private manner by tracking an exponential moving average of the noisy
-  gradient and the squared noisy gradient" (Gylberth et al. 2017). Because
-  the DP noise is injected *before* the optimizer sees the update, DP-Adam
-  is mathematically Adam applied to the noisy pseudo-gradient — which is
-  exactly what :class:`DPAdam` is.
-
-All optimizers use the *minimize* convention: ``step(params, grads)``
+The optimizer uses the *minimize* convention: ``step(params, grads)``
 performs ``params -= f(grads)``. Callers holding an ascent-style update
 ``u`` (e.g. the averaged noisy delta) pass ``grads = {k: -u[k]}``.
 """
@@ -23,76 +19,21 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ConfigError
-from repro.nn.functional import scatter_add_rows
 from repro.nn.parameters import ParameterSet
 
 Grads = dict[str, np.ndarray]
 
 
-def sparse_sgd_step(
-    tensor: np.ndarray,
-    rows: np.ndarray,
-    grad_rows: np.ndarray,
-    learning_rate: float,
-) -> None:
-    """In-place SGD on a row subset: ``tensor[rows] -= lr * grad_rows``.
+class DPAdam:
+    """Adam (Kingma & Ba 2015) driven by already-noised gradients.
 
-    Duplicate row indices accumulate (the semantics skip-gram's sparse
-    gradients need); this is the backend-neutral primitive both the
-    reference and fast kernel backends build their local updates from.
+    Differential privacy is guaranteed by the Gaussian perturbation applied
+    *before* this optimizer runs (post-processing preserves DP), so the
+    moment updates themselves are plain Adam with bias-corrected moment
+    estimates; the exponential moving averages it tracks are of the
+    *noisy* gradient and its square, exactly as the paper describes in
+    Section 5.1.
     """
-    scatter_add_rows(tensor, rows, -learning_rate * grad_rows)
-
-
-class Optimizer:
-    """Base class: stateful transformation of gradients into updates."""
-
-    def __init__(self, learning_rate: float) -> None:
-        if learning_rate <= 0.0:
-            raise ConfigError(f"learning_rate must be positive, got {learning_rate}")
-        self.learning_rate = float(learning_rate)
-
-    def step(self, params: ParameterSet, grads: Grads) -> None:
-        """Apply one update in place: ``params -= update(grads)``."""
-        raise NotImplementedError
-
-    def reset(self) -> None:
-        """Clear any optimizer state (moments, step counters)."""
-
-
-class SGD(Optimizer):
-    """Plain stochastic gradient descent: ``theta -= lr * g``."""
-
-    def step(self, params: ParameterSet, grads: Grads) -> None:
-        for name, grad in grads.items():
-            params[name] -= self.learning_rate * grad
-
-
-class Momentum(Optimizer):
-    """SGD with classical (heavy-ball) momentum."""
-
-    def __init__(self, learning_rate: float, momentum: float = 0.9) -> None:
-        super().__init__(learning_rate)
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = float(momentum)
-        self._velocity: Grads = {}
-
-    def step(self, params: ParameterSet, grads: Grads) -> None:
-        for name, grad in grads.items():
-            velocity = self._velocity.get(name)
-            if velocity is None:
-                velocity = np.zeros_like(grad)
-            velocity = self.momentum * velocity - self.learning_rate * grad
-            self._velocity[name] = velocity
-            params[name] += velocity
-
-    def reset(self) -> None:
-        self._velocity.clear()
-
-
-class Adam(Optimizer):
-    """Adam (Kingma & Ba 2015) with bias-corrected moment estimates."""
 
     def __init__(
         self,
@@ -101,13 +42,15 @@ class Adam(Optimizer):
         beta2: float = 0.999,
         epsilon: float = 1e-8,
     ) -> None:
-        super().__init__(learning_rate)
+        if learning_rate <= 0.0:
+            raise ConfigError(f"learning_rate must be positive, got {learning_rate}")
         if not 0.0 <= beta1 < 1.0:
             raise ConfigError(f"beta1 must be in [0, 1), got {beta1}")
         if not 0.0 <= beta2 < 1.0:
             raise ConfigError(f"beta2 must be in [0, 1), got {beta2}")
         if epsilon <= 0.0:
             raise ConfigError(f"epsilon must be positive, got {epsilon}")
+        self.learning_rate = float(learning_rate)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.epsilon = float(epsilon)
@@ -116,6 +59,7 @@ class Adam(Optimizer):
         self._step_count = 0
 
     def step(self, params: ParameterSet, grads: Grads) -> None:
+        """Apply one update in place: ``params -= update(grads)``."""
         self._step_count += 1
         t = self._step_count
         bias1 = 1.0 - self.beta1**t
@@ -135,17 +79,7 @@ class Adam(Optimizer):
             params[name] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
 
     def reset(self) -> None:
+        """Clear the moment estimates and the step counter."""
         self._first_moment.clear()
         self._second_moment.clear()
         self._step_count = 0
-
-
-class DPAdam(Adam):
-    """Adam driven by already-noised gradients (Gylberth et al. 2017).
-
-    Differential privacy is guaranteed by the Gaussian perturbation applied
-    *before* this optimizer runs (post-processing preserves DP), so the
-    moment updates themselves are unchanged; the exponential moving averages
-    it tracks are of the *noisy* gradient and its square, exactly as the
-    paper describes in Section 5.1.
-    """

@@ -1,14 +1,9 @@
 """The unified observer protocol shared by training and serving.
 
-Historically the training engine and the serving stack each grew their own
-callback base class (``StepObserver`` and ``ServingObserver``) with
-mirrored conventions. :class:`Observer` unifies them: one base class with
-every hook of both layers as a no-op, so a single observer instance can
-watch a model from its training steps through its serving traffic.
-
-The old classes remain importable from their original modules as thin
-deprecated aliases that emit :class:`DeprecationWarning` when subclassed
-or instantiated directly.
+:class:`Observer` is the one callback base class of the training engine
+and the serving stack: every hook of both layers is a no-op on it, so a
+single observer instance can watch a model from its training steps
+through its serving traffic.
 
 Hook groups:
 

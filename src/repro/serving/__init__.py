@@ -16,14 +16,12 @@ The stack, bottom to top:
   bounded queue with explicit load shedding.
 - :mod:`repro.serving.service` — :class:`RecommendService`, the
   transport-independent request/health/metrics/reload surface.
-- :mod:`repro.serving.asgi` — the asyncio streams front end (the default
-  ``repro serve`` transport) with backpressure and 503 + ``Retry-After``
-  load shedding.
-- :mod:`repro.serving.http` — the threaded embedded/test transport.
+- :mod:`repro.serving.asgi` — the asyncio streams HTTP transport (behind
+  ``repro serve``; :class:`BackgroundServer` embeds it in tests and
+  benchmarks) with backpressure and 503 + ``Retry-After`` load shedding.
 - :mod:`repro.serving.metrics` — the serving observer layer, built on the
   unified :class:`repro.observability.Observer` protocol and the shared
-  :class:`repro.observability.MetricsRegistry` (``ServingObserver``
-  remains as a deprecated alias).
+  :class:`repro.observability.MetricsRegistry`.
 
 Serving performs no privacy accounting on purpose: the artifact was
 produced under DP and every request is post-processing of it (see
@@ -39,12 +37,7 @@ from repro.serving.api import (
 )
 from repro.serving.asgi import AsyncRecommendServer, BackgroundServer
 from repro.serving.batcher import MicroBatcher
-from repro.serving.http import make_server, serve
-from repro.serving.metrics import (
-    JsonlServingObserver,
-    MetricsObserver,
-    ServingObserver,
-)
+from repro.serving.metrics import JsonlServingObserver, MetricsObserver
 from repro.serving.registry import LoadedModel, ModelRegistry
 from repro.serving.service import RecommendService
 
@@ -62,7 +55,4 @@ __all__ = [
     "RecommendResponse",
     "RecommendService",
     "ServingConfig",
-    "ServingObserver",
-    "make_server",
-    "serve",
 ]

@@ -1,4 +1,4 @@
-"""Asyncio front end: the default ``repro serve`` transport.
+"""Asyncio front end: the HTTP transport behind ``repro serve``.
 
 A stdlib ``asyncio`` streams HTTP/1.1 server — no web framework, no new
 dependencies. One event-loop thread holds every open connection; each
@@ -22,8 +22,8 @@ Flow control is explicit end to end:
 Blocking operations (model reload: file I/O + index build) run in the
 default executor so the event loop keeps serving while a reload builds.
 
-The same wire v1 protocol as the threaded transport
-(:mod:`repro.serving.http`); see ``docs/serving.md`` for the schema.
+Requests speak wire v1 (:mod:`repro.serving.api`); see
+``docs/serving.md`` for the schema.
 """
 
 from __future__ import annotations
@@ -193,9 +193,15 @@ class AsyncRecommendServer:
         except _HttpError as error:
             await self._write_error(writer, error.status, str(error), close=True)
             return False
-        keep_alive = headers.get("connection", "keep-alive") != "close"
         try:
             body = await self._read_body(reader, headers)
+        except _HttpError as error:
+            # The body was not consumed, so the next request's start on
+            # this stream is unknown: answer, then drop the connection.
+            await self._write_error(writer, error.status, str(error), close=True)
+            return False
+        keep_alive = headers.get("connection", "keep-alive") != "close"
+        try:
             status, payload, extra = await self._route(method, target, body)
         except _HttpError as error:
             status, payload, extra = (
@@ -222,11 +228,13 @@ class AsyncRecommendServer:
             length = int(headers.get("content-length", "0") or "0")
         except ValueError:
             raise _HttpError(400, "malformed Content-Length header") from None
+        if length < 0:
+            raise _HttpError(400, "negative Content-Length header")
         if length > _MAX_BODY_BYTES:
             raise _HttpError(
                 413, f"request body exceeds {_MAX_BODY_BYTES} bytes"
             )
-        if length <= 0:
+        if length == 0:
             return b""
         try:
             return await reader.readexactly(length)

@@ -10,11 +10,6 @@ Prometheus text (with full label escaping — POI ids and artifact paths may
 contain quotes or newlines); the pre-registry JSON shape survives as
 :meth:`MetricsObserver.snapshot` for the ``?format=json`` escape hatch.
 
-``ServingObserver`` — the stack's historical base class — remains
-importable here as a thin deprecated alias of the unified
-:class:`repro.observability.Observer`; subclassing or instantiating it
-emits a :class:`DeprecationWarning`.
-
 Privacy note: per-POI recommendation counts are computed from live query
 traffic and are NOT covered by the model's DP guarantee. They are only
 recorded when the operator passes the explicit ``include_counts`` opt-in
@@ -27,16 +22,8 @@ import json
 import threading
 from pathlib import Path
 
-from repro._compat import deprecated_class_alias
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.observer import Observer
-
-#: The serving stack's historical observer base class; subclassing or
-#: instantiating it warns (see :mod:`repro._compat` for the policy).
-ServingObserver = deprecated_class_alias(
-    "ServingObserver", __name__, Observer, "repro.observability.Observer"
-)
-
 
 class MetricsObserver(Observer):
     """Feeds the ``repro_serving_*`` metric families of a shared registry.

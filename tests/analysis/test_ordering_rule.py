@@ -84,7 +84,6 @@ class TestOrderingClean:
             "src/repro/nn/backends/base.py",
             "src/repro/nn/backends/reference.py",
             "src/repro/nn/backends/fast.py",
-            "src/repro/nn/backends/numba_backend.py",
         ):
             source = (REPO_ROOT / relative).read_text()
             violations = lint_source(source, path=relative)

@@ -234,11 +234,22 @@ class TestSnapshotPolicy:
 
 
 class TestLedgerPreview:
-    def test_preview_matches_recorded_spend_bitwise(self):
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            [(2.5, 0.06)] * 5,
+            # A decaying noise schedule: one new curve per step.
+            [(3.0, 0.06), (2.5, 0.06), (2.0, 0.06), (1.5, 0.06)],
+            # Mixed (sigma, q) steps that revisit earlier curves.
+            [(2.5, 0.06), (1.8, 0.1), (2.5, 0.06), (3.0, 0.02), (1.8, 0.1)],
+        ],
+        ids=["constant", "decaying-sigma", "mixed-sigma-q"],
+    )
+    def test_preview_matches_recorded_spend_bitwise(self, steps):
         ledger = PrivacyLedger(delta=2e-4, sampling_probability=0.06)
-        for _ in range(5):
-            preview = ledger.preview_budget_spent(2.5)
-            ledger.track_budget(0.5, 2.5)
+        for sigma, q in steps:
+            preview = ledger.preview_budget_spent(sigma, q)
+            ledger.track_budget(0.5, sigma, q)
             assert ledger.cumulative_budget_spent() == preview
 
     def test_preview_does_not_record(self):

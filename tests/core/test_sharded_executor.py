@@ -111,7 +111,7 @@ class _OpaqueSource(PairSource):
 
 
 class TestBitIdentityAcrossExecutors:
-    @pytest.mark.parametrize("backend", ["reference", "fast", "numba"])
+    @pytest.mark.parametrize("backend", ["reference", "fast"])
     def test_serial_parallel_sharded_identical(self, corpus, corpus_dir, backend):
         config = _fast_config(backend=backend)
         serial = _train(corpus, config, "serial")

@@ -8,7 +8,7 @@ The backend protocol's promise (docs/kernels.md) has three tiers:
    accounting stages never see backend-dependent values.
 2. **Reference exactness** — the ``reference`` backend reproduces the
    pre-backend implementation bit for bit (golden hash below).
-3. **Bounded drift** — ``fast``/``numba`` embeddings stay within a
+3. **Bounded drift** — ``fast`` embeddings stay within a
    documented float32 tolerance of the reference, across bucket sizes,
    negative-sample counts, and accumulation dtypes.
 """
@@ -27,16 +27,13 @@ from repro.core.bucket import _local_update_spec, build_bucket_batches
 from repro.exceptions import ConfigError
 from repro.models.skipgram import SkipGramModel
 from repro.nn.backends import (
-    NUMBA_AVAILABLE,
+    BACKEND_NAMES,
     FastBackend,
-    NumbaBackend,
     ReferenceBackend,
-    available_backends,
     get_backend,
 )
 
-#: Native (non-fallback) backends in this environment.
-BACKENDS = list(available_backends())
+BACKENDS = list(BACKEND_NAMES)
 
 #: Documented worst-case embedding drift of the float32 fused path vs the
 #: float64 reference for a few local steps (see docs/kernels.md).
@@ -223,20 +220,16 @@ class TestRegistry:
             clone = pickle.loads(pickle.dumps(instance))
             assert type(clone) is type(instance)
 
-    @pytest.mark.skipif(NUMBA_AVAILABLE, reason="numba is installed")
     def test_numba_absent_falls_back_to_fast(self):
-        with pytest.warns(RuntimeWarning, match="falling back"):
+        with pytest.warns(DeprecationWarning, match='backend="fast"'):
             backend = get_backend("numba")
-        assert isinstance(backend, FastBackend)
-        assert not isinstance(backend, NumbaBackend)
-        assert "numba" not in available_backends()
-        assert not NumbaBackend.is_compiled()
+        assert backend is get_backend("fast")
 
-    @pytest.mark.skipif(NUMBA_AVAILABLE, reason="numba is installed")
     def test_numba_fallback_training_matches_fast(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             fallback = _train("numba")
+        assert [w.category for w in caught] == [DeprecationWarning]
         fast = _train("fast")
         assert np.array_equal(
             fallback.embeddings.matrix, fast.embeddings.matrix

@@ -100,28 +100,6 @@ class TestWithObservability:
 
 
 class TestDeprecatedAliases:
-    def test_step_observer_subclass_warns(self):
-        from repro.core.engine import StepObserver
-
-        with pytest.warns(DeprecationWarning, match="StepObserver"):
-
-            class _Legacy(StepObserver):
-                pass
-
-    def test_step_observer_instantiation_warns(self):
-        from repro.core.engine.observers import StepObserver
-
-        with pytest.warns(DeprecationWarning, match="StepObserver"):
-            StepObserver()
-
-    def test_serving_observer_subclass_warns(self):
-        from repro.serving.metrics import ServingObserver
-
-        with pytest.warns(DeprecationWarning, match="ServingObserver"):
-
-            class _Legacy(ServingObserver):
-                pass
-
     def test_unified_observer_is_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -130,31 +108,3 @@ class TestDeprecatedAliases:
                 pass
 
             _Fresh()
-
-    def test_legacy_subclasses_still_work_as_observers(self):
-        from repro.core.engine import StepObserver
-
-        with pytest.warns(DeprecationWarning):
-
-            class _Legacy(StepObserver):
-                def __init__(self):
-                    self.steps = []
-
-                def on_step_end(self, result, engine):
-                    self.steps.append(result)
-
-        legacy = _Legacy()
-        assert isinstance(legacy, Observer)
-        legacy.on_step_end("result", None)
-        assert legacy.steps == ["result"]
-
-    def test_cli_metrics_jsonl_flag_warns_and_maps(self):
-        from repro.cli import _build_parser
-
-        parser = _build_parser()
-        with pytest.warns(DeprecationWarning, match="--metrics-out"):
-            args = parser.parse_args(
-                ["train", "--synthetic", "--out", "m.npz",
-                 "--metrics-jsonl", "m.jsonl"]
-            )
-        assert args.metrics_jsonl == "m.jsonl"

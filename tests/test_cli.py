@@ -170,19 +170,6 @@ class TestTrainConfigResolution:
         with pytest.raises(ConfigError, match="JSON"):
             _resolve_train_config(_train_args("--config", "{not json"))
 
-    def test_deprecated_negatives_alias_warns_and_applies(self):
-        with pytest.warns(DeprecationWarning, match="--num-negatives"):
-            args = _train_args("--negatives", "4")
-        assert _resolve_train_config(args).num_negatives == 4
-
-    def test_deprecated_kwarg_aliases_warn_through_with_overrides(self):
-        with pytest.warns(DeprecationWarning, match="embedding_dim"):
-            config = PLPConfig().with_overrides(dim=10)
-        assert config.embedding_dim == 10
-        with pytest.raises(ConfigError), pytest.warns(DeprecationWarning):
-            # Alias and canonical name together is ambiguous.
-            PLPConfig().with_overrides(dim=10, embedding_dim=12)
-
 
 class TestServeParser:
     def test_serve_without_artifacts_is_a_config_error(self):

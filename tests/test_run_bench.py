@@ -38,15 +38,12 @@ class TestQuickRun:
     def test_kernel_section(self, report):
         kernels = report["kernels"]
         timings = kernels["local_train_seconds"]
-        assert "reference" in timings and "fast" in timings
+        assert set(timings) == {"reference", "fast"}
         assert all(seconds > 0 for seconds in timings.values())
         speedup = kernels["speedup_vs_reference"]["fast"]
         assert speedup == pytest.approx(
             timings["reference"] / timings["fast"]
         )
-        # Without numba installed the compiled backend is not re-timed.
-        if not kernels["numba_compiled"]:
-            assert "numba" not in timings
 
     def test_backend_recorded(self, report):
         assert report["backend"] == "reference"
