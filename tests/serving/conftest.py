@@ -8,6 +8,8 @@ import pytest
 from repro.models.embeddings import EmbeddingMatrix
 from repro.models.serialization import save_deployable_model
 from repro.models.vocabulary import LocationVocabulary
+from repro.serving.asgi import BackgroundServer
+from repro.serving.service import RecommendService
 
 NUM_LOCATIONS = 40
 EMBEDDING_DIM = 8
@@ -42,3 +44,12 @@ def countless_artifact_path(tmp_path_factory) -> str:
     path = tmp_path_factory.mktemp("artifacts") / "model-nocounts.npz"
     save_deployable_model(path, embeddings, vocabulary, privacy_metadata=PRIVACY)
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def server(artifact_path):
+    """A live asyncio server over the counted artifact, one per test module."""
+    service = RecommendService.from_artifact(artifact_path, mode="exact")
+    with BackgroundServer(service) as background:
+        yield background
+    service.close()
