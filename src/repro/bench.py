@@ -32,30 +32,26 @@ and training throughput plus peak RSS; ``--rss-cap-mb`` turns the RSS
 figure into a hard gate (exit code 4), which CI uses to prove training
 memory stays flat as the corpus grows (:func:`run_out_of_core`).
 
-The report is schema-validated (:func:`validate_report`) before writing.
-The validator holds no timing floor beyond the sharded executor's 0.5x
-overhead bound; the near-linear scaling floor is a test
-(``tests/test_run_bench.py::TestQuickRun::test_sharded_scales_with_cores``).
-When a committed baseline report exists (``BENCH_plp.json`` at the repo
-root, or ``--baseline``), the fresh report is diffed against it and a
->25% regression in training throughput (buckets/sec) or recommend p95
-fails the run with exit code 3 (:func:`compare_to_baseline`).
+Every report is checked against one rule table (:func:`validate_report`)
+before it is written. When a committed baseline report exists
+(``BENCH_plp.json`` at the repo root, or ``--baseline``), the fresh
+report is diffed against it and a >25% regression in training throughput
+(buckets/sec) or recommend p95 fails the run with exit code 3
+(:func:`compare_to_baseline`).
 
-Run it through the CLI (no ``PYTHONPATH`` gymnastics needed)::
+Run it through the CLI::
 
     repro bench --quick --out BENCH_plp.json
-
-or as the historical script, which forwards here::
-
-    PYTHONPATH=src python benchmarks/run_bench.py --quick --out BENCH_plp.json
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import reprlib
 import time
 from pathlib import Path
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -69,7 +65,6 @@ __all__ = [
     "STAGE_NAMES",
     "add_bench_arguments",
     "compare_to_baseline",
-    "main",
     "measure_kernel_speedup",
     "measure_serving",
     "measure_sharded_scaling",
@@ -125,7 +120,6 @@ _SERVING_WORKLOAD = dict(
     num_users=80, num_locations=60, num_clusters=5, max_steps=3,
     baseline_requests=40, sustained_requests=360, clients=24,
     max_batch=64, max_wait_seconds=0.005, overload_clients=32,
-    data_seed=11,
 )
 
 #: The ANN-recall workload: a clustered synthetic embedding matrix large
@@ -155,29 +149,47 @@ _REGRESSION_THRESHOLD = 0.25
 _P95_SLACK_SECONDS = 0.0005
 
 
-def _build_workload(mode: dict, seed: int):
+#: The :class:`repro.SyntheticConfig` fields a workload spec may set.
+_SYNTHETIC_FIELDS = (
+    "num_users", "num_locations", "num_clusters", "mean_checkins_per_user",
+)
+
+
+def _synthetic_dataset(spec: dict, seed: int):
+    """The paper-preprocessed synthetic corpus a workload spec describes."""
     config = repro.SyntheticConfig(
-        num_users=mode["num_users"],
-        num_locations=mode["num_locations"],
-        num_clusters=mode["num_clusters"],
+        **{field: spec[field] for field in _SYNTHETIC_FIELDS if field in spec}
     )
-    dataset = repro.CheckinDataset(
+    return repro.CheckinDataset(
         repro.paper_preprocessing(repro.generate_checkins(config, rng=seed))
     )
+
+
+def _build_workload(mode: dict, seed: int):
+    dataset = _synthetic_dataset(mode, seed)
     holdout_size = max(5, mode["num_users"] // 10)
     return repro.holdout_users_split(dataset, holdout_size, rng=seed)
 
 
-def _local_train_seconds(dataset, backend: str, seed: int) -> float:
-    """One instrumented training run; returns the ``local_train`` total."""
+def _holdout_queries(holdout) -> list[list[int]]:
+    """Each held-out trajectory of two or more visits, minus its last."""
+    return [
+        list(trajectory.locations[:-1])
+        for trajectory in repro.sessionize_dataset(holdout)
+        if len(trajectory) >= 2
+    ]
+
+
+def _timed_train(config, dataset, seed: int, **train_kwargs):
+    """One instrumented training run; returns the model and the total of
+    its ``local_train`` stage, the part the backend and executor own."""
     obs = repro.with_observability()
-    config = repro.PLPConfig(
-        max_steps=_KERNEL_WORKLOAD["max_steps"], backend=backend
+    model = repro.train(
+        config, dataset, rng=seed, with_observability=obs, **train_kwargs
     )
-    repro.train(config, dataset, rng=seed, with_observability=obs)
-    seconds = obs.profiler.summary()["engine.stage.local_train"]["total_seconds"]
+    summary = obs.profiler.summary()
     obs.close()
-    return float(seconds)
+    return model, float(summary["engine.stage.local_train"]["total_seconds"])
 
 
 def measure_kernel_speedup(repeats: int = 3, seed: int = 7) -> dict:
@@ -191,21 +203,17 @@ def measure_kernel_speedup(repeats: int = 3, seed: int = 7) -> dict:
     of skewing the ratio.
     """
     spec = _KERNEL_WORKLOAD
-    raw = repro.generate_checkins(
-        repro.SyntheticConfig(
-            num_users=spec["num_users"],
-            num_locations=spec["num_locations"],
-            mean_checkins_per_user=spec["mean_checkins_per_user"],
-        ),
-        rng=spec["data_seed"],
-    )
-    dataset = repro.CheckinDataset(repro.paper_preprocessing(raw))
+    dataset = _synthetic_dataset(spec, spec["data_seed"])
+    configs = {
+        backend: repro.PLPConfig(max_steps=spec["max_steps"], backend=backend)
+        for backend in ("fast", "reference")
+    }
 
-    _local_train_seconds(dataset, "fast", seed)  # warm caches/allocator
+    _timed_train(configs["fast"], dataset, seed)  # warm caches/allocator
     best: dict[str, float] = {}
     for _ in range(max(1, repeats)):
-        for backend in ("fast", "reference"):
-            seconds = _local_train_seconds(dataset, backend, seed)
+        for backend, config in configs.items():
+            _, seconds = _timed_train(config, dataset, seed)
             best[backend] = min(best.get(backend, float("inf")), seconds)
 
     reference = best["reference"]
@@ -232,30 +240,19 @@ def measure_sharded_scaling(
     """Bucket throughput of the sharded executor vs the serial baseline.
 
     All runs train the same fixed workload (``_SHARDED_WORKLOAD``) from
-    the same seed and time the engine's ``local_train`` stage. One serial
-    warm-up run goes first and is not timed. Then the executors run
-    interleaved — serial, then each worker count, the workload's
-    ``repeats`` times — and the best run per executor is kept, as in
-    :func:`measure_kernel_speedup`: a cold first run or a noisy-neighbor
-    blip cannot decide the ratio. Besides the timings, the section
-    records that the privacy ledger and the embeddings came out
+    the same seed and time the engine's ``local_train`` stage; the other
+    stages are single-writer by design and identical across executors.
+    One serial warm-up run goes first and is not timed. Then the
+    executors run interleaved — serial, then each worker count, the
+    workload's ``repeats`` times — and the best run per executor is kept,
+    as in :func:`measure_kernel_speedup`: a cold first run or a
+    noisy-neighbor blip cannot decide the ratio. Besides the timings, the
+    section records that the privacy ledger and the embeddings came out
     **bit-identical** across executors and repeats — the
     executor-equivalence contract, measured end to end.
     """
     spec = _SHARDED_WORKLOAD
-    dataset = repro.CheckinDataset(
-        repro.paper_preprocessing(
-            repro.generate_checkins(
-                repro.SyntheticConfig(
-                    num_users=spec["num_users"],
-                    num_locations=spec["num_locations"],
-                    num_clusters=spec["num_clusters"],
-                    mean_checkins_per_user=spec["mean_checkins_per_user"],
-                ),
-                rng=spec["data_seed"],
-            )
-        )
-    )
+    dataset = _synthetic_dataset(spec, spec["data_seed"])
     config = repro.PLPConfig(
         max_steps=spec["max_steps"],
         grouping_factor=spec["grouping_factor"],
@@ -263,37 +260,25 @@ def measure_sharded_scaling(
         backend=spec["backend"],
     )
 
-    def run(executor: str, workers: int | None):
-        # Time the local_train stage — the part the executor owns. The
-        # other stages (sample/aggregate/apply/...) are single-writer by
-        # design and identical across executors.
-        obs = repro.with_observability()
-        model = repro.train(
-            config,
-            dataset,
-            rng=seed,
-            executor=executor,
-            workers=workers,
-            with_observability=obs,
-        )
-        summary = obs.profiler.summary()
-        seconds = float(summary["engine.stage.local_train"]["total_seconds"])
-        obs.close()
-        buckets = sum(record.num_buckets for record in model.history)
-        return model, seconds, buckets
+    def bucket_count(model) -> int:
+        return sum(record.num_buckets for record in model.history)
 
-    reference, _, buckets = run("serial", None)  # warm-up, not timed
+    # One serial warm-up run, not timed; its model is the identity reference.
+    reference, _ = _timed_train(config, dataset, seed, executor="serial", workers=None)
+    buckets = bucket_count(reference)
     runs = [("serial", None)] + [("sharded", count) for count in worker_counts]
     best: dict[int | None, float] = {}
     ledger_identical = True
     embeddings_identical = True
     for _ in range(spec["repeats"]):
         for executor, workers in runs:
-            model, seconds, run_buckets = run(executor, workers)
+            model, seconds = _timed_train(
+                config, dataset, seed, executor=executor, workers=workers
+            )
             best[workers] = min(best.get(workers, float("inf")), seconds)
             ledger_identical &= (
                 model.privacy["epsilon"] == reference.privacy["epsilon"]
-                and run_buckets == buckets
+                and bucket_count(model) == buckets
             )
             embeddings_identical &= bool(
                 np.array_equal(model.embeddings.matrix, reference.embeddings.matrix)
@@ -324,9 +309,7 @@ def measure_sharded_scaling(
         "buckets_total": int(buckets),
         "serial": {
             "seconds": serial_seconds,
-            "buckets_per_second": buckets / serial_seconds
-            if serial_seconds
-            else 0.0,
+            "buckets_per_second": buckets / serial_seconds if serial_seconds else 0.0,
         },
         "workers": per_worker,
         "ledger_identical": bool(ledger_identical),
@@ -397,12 +380,7 @@ def _sweep_bench_spec(seed: int):
         "seeds": 2,
         "seed": int(seed),
         "workload": {
-            "synthetic": {
-                "num_users": spec["num_users"],
-                "num_locations": spec["num_locations"],
-                "num_clusters": spec["num_clusters"],
-                "mean_checkins_per_user": spec["mean_checkins_per_user"],
-            },
+            "synthetic": {field: spec[field] for field in _SYNTHETIC_FIELDS},
             "holdout_users": spec["holdout_users"],
         },
     })
@@ -447,6 +425,59 @@ def measure_sweep(seed: int = 7) -> dict:
     }
 
 
+_JSON_HEADERS = {"Content-Type": "application/json"}
+
+
+def _post(conn, body: bytes) -> tuple:
+    """POST one recommend body; returns (status, Retry-After, latency)."""
+    started = time.perf_counter()
+    conn.request("POST", "/recommend", body, _JSON_HEADERS)
+    response = conn.getresponse()
+    response.read()
+    return (
+        response.status,
+        response.getheader("Retry-After"),
+        time.perf_counter() - started,
+    )
+
+
+def _drive_clients(
+    port: int, client_bodies: list[list[bytes]], warm_body: bytes | None = None
+) -> tuple[list[list[tuple]], float]:
+    """Release one client thread per body list at once; client ``i``
+    posts ``client_bodies[i]`` over its own keep-alive connection, after
+    posting ``warm_body`` (if given) before the release. Returns each
+    client's :func:`_post` results and the wall time after the release."""
+    import threading
+    from http.client import HTTPConnection
+
+    results: list[list[tuple]] = [[] for _ in client_bodies]
+    barrier = threading.Barrier(len(client_bodies) + 1)
+
+    def run_client(index: int) -> None:
+        conn = HTTPConnection("127.0.0.1", port)
+        try:
+            if warm_body is not None:
+                _post(conn, warm_body)
+            barrier.wait()
+            for body in client_bodies[index]:
+                results[index].append(_post(conn, body))
+        finally:
+            conn.close()
+
+    threads = [
+        threading.Thread(target=run_client, args=(index,))
+        for index in range(len(client_bodies))
+    ]
+    for thread in threads:
+        thread.start()
+    barrier.wait()
+    started = time.perf_counter()
+    for thread in threads:
+        thread.join()
+    return results, time.perf_counter() - started
+
+
 def measure_serving(seed: int = 7) -> dict:
     """Benchmark the asyncio serving front end over real HTTP.
 
@@ -465,7 +496,6 @@ def measure_serving(seed: int = 7) -> dict:
     """
     import shutil
     import tempfile
-    import threading
     from http.client import HTTPConnection
 
     from repro.models.serialization import save_deployable_model
@@ -479,28 +509,11 @@ def measure_serving(seed: int = 7) -> dict:
         sampling_probability=0.2,
     )
     model = repro.train(config, train_set, rng=seed)
-    trajectories = repro.sessionize_dataset(holdout)
-    queries = [
-        list(trajectory.locations[:-1])
-        for trajectory in trajectories
-        if len(trajectory) >= 2
-    ] or [[0]]
+    queries = _holdout_queries(holdout) or [[0]]
     bodies = [
         json.dumps({"v": 1, "recent": query, "top_k": 10}).encode("utf-8")
         for query in queries
     ]
-    headers = {"Content-Type": "application/json"}
-
-    def post(conn: HTTPConnection, body: bytes):
-        started = time.perf_counter()
-        conn.request("POST", "/recommend", body, headers)
-        response = conn.getresponse()
-        response.read()
-        return (
-            response.status,
-            response.getheader("Retry-After"),
-            time.perf_counter() - started,
-        )
 
     scratch = tempfile.mkdtemp(prefix="repro-serving-bench-")
     try:
@@ -515,44 +528,26 @@ def measure_serving(seed: int = 7) -> dict:
             timeout_seconds=10.0, max_queue=8192,
         )
         with BackgroundServer(service) as server:
-            port = server.port
-            conn = HTTPConnection("127.0.0.1", port)
-            post(conn, bodies[0])  # warm the connection and the caches
+            conn = HTTPConnection("127.0.0.1", server.port)
+            _post(conn, bodies[0])  # warm the connection and the caches
             baseline_latencies: list[float] = []
             started = time.perf_counter()
             for i in range(spec["baseline_requests"]):
-                _, _, latency = post(conn, bodies[i % len(bodies)])
+                _, _, latency = _post(conn, bodies[i % len(bodies)])
                 baseline_latencies.append(latency)
             baseline_wall = time.perf_counter() - started
             conn.close()
 
             clients = spec["clients"]
             per_client = spec["sustained_requests"] // clients
-            results: list[list[tuple]] = [[] for _ in range(clients)]
-            barrier = threading.Barrier(clients + 1)
-
-            def run_client(idx: int) -> None:
-                client_conn = HTTPConnection("127.0.0.1", port)
-                try:
-                    post(client_conn, bodies[0])  # connect before the gun
-                    barrier.wait()
-                    for j in range(per_client):
-                        body = bodies[(idx + j) % len(bodies)]
-                        results[idx].append(post(client_conn, body))
-                finally:
-                    client_conn.close()
-
-            threads = [
-                threading.Thread(target=run_client, args=(i,))
-                for i in range(clients)
-            ]
-            for thread in threads:
-                thread.start()
-            barrier.wait()
-            started = time.perf_counter()
-            for thread in threads:
-                thread.join()
-            sustained_wall = time.perf_counter() - started
+            results, sustained_wall = _drive_clients(
+                server.port,
+                [
+                    [bodies[(idx + j) % len(bodies)] for j in range(per_client)]
+                    for idx in range(clients)
+                ],
+                warm_body=bodies[0],
+            )
         service.close()
 
         flat = [entry for per in results for entry in per]
@@ -568,30 +563,14 @@ def measure_serving(seed: int = 7) -> dict:
             timeout_seconds=10.0, max_queue=2,
         )
         burst_size = spec["overload_clients"]
-        burst: list = [None] * burst_size
         with BackgroundServer(overload_service) as server:
-            burst_port = server.port
-            burst_barrier = threading.Barrier(burst_size + 1)
-
-            def run_burst(idx: int) -> None:
-                burst_conn = HTTPConnection("127.0.0.1", burst_port)
-                try:
-                    burst_barrier.wait()
-                    burst[idx] = post(burst_conn, bodies[idx % len(bodies)])
-                finally:
-                    burst_conn.close()
-
-            burst_threads = [
-                threading.Thread(target=run_burst, args=(i,))
-                for i in range(burst_size)
-            ]
-            for thread in burst_threads:
-                thread.start()
-            burst_barrier.wait()
-            for thread in burst_threads:
-                thread.join()
+            burst_results, _ = _drive_clients(
+                server.port,
+                [[bodies[idx % len(bodies)]] for idx in range(burst_size)],
+            )
         overload_service.close()
 
+        burst = [per[0] if per else None for per in burst_results]
         burst_shed = [entry for entry in burst if entry and entry[0] == 503]
         burst_ok = [entry for entry in burst if entry and entry[0] == 200]
     finally:
@@ -723,9 +702,7 @@ def run_out_of_core(
                 "sampling_probability": q,
                 "train_seconds": train_seconds,
                 "buckets_total": int(buckets),
-                "buckets_per_second": buckets / train_seconds
-                if train_seconds
-                else 0.0,
+                "buckets_per_second": buckets / train_seconds if train_seconds else 0.0,
                 "epsilon_spent": trainer.epsilon_spent(),
                 "peak_rss_bytes": peak_rss,
                 "rss_cap_mb": rss_cap_mb,
@@ -746,11 +723,8 @@ def run_benchmark(
 
     obs = repro.with_observability()
     config = repro.PLPConfig(
-        epsilon=2.0,
-        max_steps=mode["max_steps"],
-        grouping_factor=4,
-        sampling_probability=0.2,
-        backend=backend,
+        epsilon=2.0, max_steps=mode["max_steps"], grouping_factor=4,
+        sampling_probability=0.2, backend=backend,
     )
 
     train_started = time.perf_counter()
@@ -765,12 +739,7 @@ def run_benchmark(
         "repro_bench_recommend_seconds", "Single-query recommend latency"
     )
     recommender = model.recommender()
-    trajectories = repro.sessionize_dataset(holdout)
-    queries = [
-        list(trajectory.locations[:-1])
-        for trajectory in trajectories
-        if len(trajectory) >= 2
-    ]
+    queries = _holdout_queries(holdout)
     queries = (queries * (mode["recommend_queries"] // max(1, len(queries)) + 1))[
         : mode["recommend_queries"]
     ]
@@ -840,226 +809,176 @@ def run_benchmark(
     return report
 
 
-def validate_report(report: dict) -> None:
-    """Schema-check a benchmark report; raises ``ValueError`` on mismatch.
+# Each helper below returns one rule's ``(check, requirement)`` pair.
+_Check = Callable[[Any], bool]
 
-    Hand-rolled (no jsonschema dependency): checks the key set, value
-    types, the full stage breakdown, the kernel-comparison section, and
-    basic sanity (p50 <= p95, non-negative counters). Of the sharded
-    section it demands ledger and embeddings identity and the 0.5x
-    overhead floor, but not scaling: a report records real scaling or
-    its absence, and the near-linear scaling floor lives in
-    ``tests/test_run_bench.py`` (``test_sharded_scales_with_cores``).
+
+def _is(kind: type) -> tuple[_Check, str]:
+    return (lambda value: isinstance(value, kind)), f"expected {kind.__name__}"
+
+
+def _above(kind: type, floor: float) -> tuple[_Check, str]:
+    return (
+        lambda value: isinstance(value, kind) and value > floor
+    ), f"expected {kind.__name__} > {floor}"
+
+
+def _at_least(kind: type, floor: float) -> tuple[_Check, str]:
+    return (
+        lambda value: isinstance(value, kind) and value >= floor
+    ), f"expected {kind.__name__} >= {floor}"
+
+
+def _dict_with(key: str) -> tuple[_Check, str]:
+    return (
+        lambda value: isinstance(value, dict) and key in value
+    ), f"expected dict with {key!r}"
+
+
+_NON_EMPTY_DICT: tuple[_Check, str] = (
+    lambda value: isinstance(value, dict) and bool(value), "expected non-empty dict"
+)
+
+
+def _is_true(value) -> bool:
+    return value is True
+
+
+def _p50_le_p95(section) -> bool:
+    p50, p95 = section["p50_seconds"], section["p95_seconds"]
+    return isinstance(p50, float) and isinstance(p95, float) and p50 <= p95
+
+
+#: :func:`validate_report`'s rule table: ``(dotted path, check,
+#: requirement)``; a ``*`` segment matches every key of a dict. The only
+#: timing floors are the sharded 0.5x overhead bound and the serving >1x
+#: sanity floor: the near-linear scaling floor is the test
+#: ``test_sharded_scales_with_cores``, and the >=10x serving gate runs in
+#: CI, where the load is controlled.
+_RULES: tuple[tuple[str, _Check, str], ...] = (
+    ("schema_version", *_is(int)),
+    ("schema_version", lambda version: version == SCHEMA_VERSION,
+     f"expected {SCHEMA_VERSION}"),
+    ("quick", *_is(bool)),
+    ("seed", *_is(int)),
+    ("backend", *_is(str)),
+    ("generated_unix", *_is(float)),
+    *((section, *_is(dict)) for section in (
+        "workload", "training", "kernels", "sharded", "serving", "sweep",
+        "evaluation", "recommend",
+    )),
+    ("peak_rss_bytes", lambda rss: rss is None or (isinstance(rss, int) and rss > 0),
+     "expected int > 0 or null"),
+    # Training: counters, throughput and the exact stage breakdown.
+    ("training.steps", *_at_least(int, 0)),
+    ("training.buckets_total", *_at_least(int, 0)),
+    ("training.total_seconds", *_at_least(float, 0)),
+    ("training.buckets_per_second", *_at_least(float, 0)),
+    ("training.stage_seconds", lambda stages: set(stages) == set(STAGE_NAMES),
+     f"expected stages {sorted(STAGE_NAMES)}"),
+    *((f"training.stage_seconds.*.{key}", lambda value: isinstance(value, (int, float)),
+       "expected number") for key in ("count", "total_seconds", "mean_seconds", "max_seconds")),
+    # Kernel comparison.
+    ("kernels.local_train_seconds", *_dict_with("reference")),
+    ("kernels.local_train_seconds.*", *_above(float, 0)),
+    ("kernels.speedup_vs_reference", *_dict_with("fast")),
+    ("kernels.speedup_vs_reference.*", *_above(float, 0)),
+    # Sharded executor: one ledger and one model across executors, and
+    # bounded shipping overhead.
+    ("sharded.serial.buckets_per_second", *_above(float, 0)),
+    ("sharded.workers", *_NON_EMPTY_DICT),
+    *((f"sharded.workers.*.{key}", *_above(float, 0))
+      for key in ("seconds", "buckets_per_second", "speedup_vs_serial")),
+    ("sharded.workers.*.speedup_vs_serial", lambda speedup: speedup >= 0.5,
+     "below the 0.5x overhead floor vs serial"),
+    ("sharded.ledger_identical", _is_true, "executors must produce one ledger"),
+    ("sharded.embeddings_identical", _is_true, "executors must produce one model"),
+    # Serving: batching pays, overload is shed with Retry-After and no
+    # request goes unanswered, and the ANN index keeps its recall.
+    *((f"serving.{phase}.req_per_s", *_above(float, 0))
+      for phase in ("baseline", "sustained")),
+    *((f"serving.{phase}", lambda entry: _p50_le_p95(entry) and entry["p50_seconds"] >= 0,
+       "expected float 0 <= p50_seconds <= p95_seconds")
+      for phase in ("baseline", "sustained")),
+    ("serving.sustained.all_responded", _is_true, "silent request drops detected"),
+    ("serving.sustained.shed_rate", lambda rate: isinstance(rate, float) and 0 <= rate <= 1,
+     "expected float in [0, 1]"),
+    # Batched throughput must beat the serial per-request baseline.
+    ("serving.sustained.speedup_vs_baseline", *_above(float, 1.0)),
+    ("serving.overload.shed", *_above(int, 0)),
+    ("serving.overload.retry_after_present", _is_true,
+     "503 responses must carry Retry-After"),
+    ("serving.overload.all_responded", _is_true, "silent request drops detected"),
+    ("serving.ann.recall", lambda recall: isinstance(recall, float) and 0 <= recall <= 1,
+     "expected float in [0, 1]"),
+    ("serving.ann.recall", *_at_least(float, 0.95)),  # the recall@10 contract
+    # Sweep orchestrator: a complete parallel pass, then a resume that
+    # skips every run at a small fraction of the fresh pass's cost.
+    ("sweep.runs", *_at_least(int, 8)),
+    ("sweep.workers", *_at_least(int, 2)),
+    ("sweep", lambda sweep: sweep["executed"] == sweep["runs"],
+     "expected executed == runs: the fresh pass must execute every run"),
+    ("sweep.failed", lambda failed: failed == 0, "expected zero failed runs"),
+    *((f"sweep.{key}", *_above(float, 0))
+      for key in ("fresh_seconds", "runs_per_second", "resume_seconds")),
+    ("sweep", lambda sweep: sweep["resume_skipped"] == sweep["runs"],
+     "expected resume_skipped == runs: resume must skip every completed run"),
+    ("sweep.resume_executed", lambda executed: executed == 0,
+     "resume must re-execute nothing"),
+    ("sweep.resume_overhead_ratio", lambda ratio: isinstance(ratio, float) and 0 <= ratio < 0.5,
+     "resume must cost <50% of a fresh run"),
+    # Evaluation and single-query recommend latency.
+    ("evaluation.hit_rate", *_NON_EMPTY_DICT),
+    ("evaluation.query_seconds_p50", *_is(float)),
+    ("evaluation.query_seconds_p95", *_is(float)),
+    ("recommend.queries", *_above(int, 0)),
+    ("recommend", _p50_le_p95, "expected float p50_seconds <= p95_seconds"),
+)
+
+_MISSING = object()
+
+
+def _resolve(report: dict, path: str) -> list[tuple[str, Any]]:
+    """Every ``(resolved path, value)`` a rule path names.
+
+    A ``*`` segment fans out over a dict's keys; a key that is absent, or
+    a segment below a value that is not a dict, resolves to ``_MISSING``.
     """
-    problems: list[str] = []
+    matches: list[tuple[str, Any]] = [("", report)]
+    for part in path.split("."):
+        step = []
+        for prefix, node in matches:
+            is_dict = isinstance(node, dict)
+            for key in node if part == "*" and is_dict else (part,):
+                value = node.get(key, _MISSING) if is_dict else _MISSING
+                step.append((f"{prefix}.{key}" if prefix else str(key), value))
+        matches = step
+    return matches
 
-    def expect(condition: bool, message: str) -> None:
-        if not condition:
-            problems.append(message)
 
-    top = {
-        "schema_version": int, "quick": bool, "seed": int, "backend": str,
-        "generated_unix": float, "workload": dict, "training": dict,
-        "kernels": dict, "sharded": dict, "serving": dict, "sweep": dict,
-        "evaluation": dict, "recommend": dict,
-    }
-    for key, kind in top.items():
-        expect(isinstance(report.get(key), kind), f"{key}: expected {kind.__name__}")
-    expect("peak_rss_bytes" in report, "peak_rss_bytes: missing")
-    rss = report.get("peak_rss_bytes")
-    expect(rss is None or (isinstance(rss, int) and rss > 0),
-           "peak_rss_bytes: expected positive int or null")
-    expect(report.get("schema_version") == SCHEMA_VERSION,
-           f"schema_version: expected {SCHEMA_VERSION}")
+def validate_report(report: dict, sections: Sequence[str] | None = None) -> None:
+    """Check a benchmark report against the rule table (``_RULES``).
 
-    training = report.get("training") or {}
-    for key in ("steps", "buckets_total"):
-        expect(isinstance(training.get(key), int) and training.get(key, -1) >= 0,
-               f"training.{key}: expected non-negative int")
-    for key in ("total_seconds", "buckets_per_second"):
-        expect(isinstance(training.get(key), float) and training.get(key, -1.0) >= 0,
-               f"training.{key}: expected non-negative float")
-    stages = training.get("stage_seconds") or {}
-    expect(set(stages) == set(STAGE_NAMES),
-           f"training.stage_seconds: expected stages {sorted(STAGE_NAMES)}")
-    for stage, aggregate in stages.items():
-        for key in ("count", "total_seconds", "mean_seconds", "max_seconds"):
-            expect(isinstance(aggregate.get(key), (int, float)),
-                   f"training.stage_seconds.{stage}.{key}: expected number")
+    ``sections`` limits the check to the rows under those top-level keys
+    (``--serving-only`` passes ``("serving",)``).
 
-    kernels = report.get("kernels") or {}
-    timings = kernels.get("local_train_seconds")
-    expect(isinstance(timings, dict) and "reference" in (timings or {}),
-           "kernels.local_train_seconds: expected dict with 'reference'")
-    for backend, seconds in (timings or {}).items():
-        expect(isinstance(seconds, float) and seconds > 0,
-               f"kernels.local_train_seconds.{backend}: expected positive float")
-    speedups = kernels.get("speedup_vs_reference")
-    expect(isinstance(speedups, dict) and "fast" in (speedups or {}),
-           "kernels.speedup_vs_reference: expected dict with 'fast'")
-    for backend, ratio in (speedups or {}).items():
-        expect(isinstance(ratio, float) and ratio > 0,
-               f"kernels.speedup_vs_reference.{backend}: expected positive float")
-
-    sharded = report.get("sharded") or {}
-    serial_section = sharded.get("serial") or {}
-    expect(
-        isinstance(serial_section.get("buckets_per_second"), float)
-        and serial_section.get("buckets_per_second", -1.0) > 0,
-        "sharded.serial.buckets_per_second: expected positive float",
-    )
-    worker_sections = sharded.get("workers")
-    expect(isinstance(worker_sections, dict) and worker_sections,
-           "sharded.workers: expected non-empty dict")
-    for count, entry in (worker_sections or {}).items():
-        for key in ("seconds", "buckets_per_second", "speedup_vs_serial"):
-            expect(
-                isinstance(entry.get(key), float) and entry.get(key, -1.0) > 0,
-                f"sharded.workers.{count}.{key}: expected positive float",
-            )
-        speedup = entry.get("speedup_vs_serial", 0.0)
-        # Shipping overhead must stay bounded everywhere. Scaling itself
-        # is a timing floor, gated by test_sharded_scales_with_cores.
-        expect(
-            speedup >= 0.5,
-            f"sharded.workers.{count}: speedup {speedup:.2f}x vs serial is "
-            "below the 0.5x overhead floor",
-        )
-    expect(sharded.get("ledger_identical") is True,
-           "sharded.ledger_identical: executors must produce one ledger")
-    expect(sharded.get("embeddings_identical") is True,
-           "sharded.embeddings_identical: executors must produce one model")
-
-    serving = report.get("serving") or {}
-    _validate_serving_section(serving, expect)
-
-    sweep = report.get("sweep") or {}
-    _validate_sweep_section(sweep, expect)
-
-    evaluation = report.get("evaluation") or {}
-    expect(isinstance(evaluation.get("hit_rate"), dict) and evaluation.get("hit_rate"),
-           "evaluation.hit_rate: expected non-empty dict")
-    for key in ("query_seconds_p50", "query_seconds_p95"):
-        expect(isinstance(evaluation.get(key), float),
-               f"evaluation.{key}: expected float")
-
-    recommend = report.get("recommend") or {}
-    expect(isinstance(recommend.get("queries"), int) and recommend.get("queries", 0) > 0,
-           "recommend.queries: expected positive int")
-    p50, p95 = recommend.get("p50_seconds"), recommend.get("p95_seconds")
-    expect(isinstance(p50, float) and isinstance(p95, float) and p50 <= p95,
-           "recommend: expected float p50_seconds <= p95_seconds")
-
+    Raises:
+        ValueError: naming every failing row by its resolved path.
+    """
+    problems = []
+    for path, check, requirement in _RULES:
+        if sections is not None and path.split(".", 1)[0] not in sections:
+            continue
+        for resolved, value in _resolve(report, path):
+            try:
+                ok = value is not _MISSING and bool(check(value))
+            except (KeyError, TypeError):
+                ok = False
+            if not ok:
+                got = "missing" if value is _MISSING else f"got {reprlib.repr(value)}"
+                problems.append(f"{resolved}: {requirement} ({got})")
     if problems:
-        raise ValueError(
-            "invalid benchmark report:\n  " + "\n  ".join(problems)
-        )
-
-
-def _validate_serving_section(serving: dict, expect) -> None:
-    """Schema/sanity checks for the serving section (helper of
-    :func:`validate_report`; also applied to ``--serving-only`` output).
-
-    Structural facts and deterministic contracts are hard-gated (shed
-    accounting, ``Retry-After`` on overload, the 0.95 ANN recall floor);
-    the throughput ratio only has a >1x sanity floor here — the >=10x
-    acceptance gate runs in CI where the load is controlled.
-    """
-    for phase in ("baseline", "sustained"):
-        entry = serving.get(phase) or {}
-        expect(
-            isinstance(entry.get("req_per_s"), float)
-            and entry.get("req_per_s", -1.0) > 0,
-            f"serving.{phase}.req_per_s: expected positive float",
-        )
-        p50, p95 = entry.get("p50_seconds"), entry.get("p95_seconds")
-        expect(
-            isinstance(p50, float) and isinstance(p95, float) and 0 <= p50 <= p95,
-            f"serving.{phase}: expected float p50_seconds <= p95_seconds",
-        )
-    sustained = serving.get("sustained") or {}
-    expect(
-        sustained.get("all_responded") is True,
-        "serving.sustained.all_responded: silent request drops detected",
-    )
-    shed_rate = sustained.get("shed_rate")
-    expect(
-        isinstance(shed_rate, float) and 0.0 <= shed_rate <= 1.0,
-        "serving.sustained.shed_rate: expected float in [0, 1]",
-    )
-    speedup = sustained.get("speedup_vs_baseline")
-    expect(
-        isinstance(speedup, float) and speedup > 1.0,
-        "serving.sustained.speedup_vs_baseline: batched throughput must "
-        "beat the serial per-request baseline",
-    )
-    overload = serving.get("overload") or {}
-    expect(
-        isinstance(overload.get("shed"), int) and overload.get("shed", 0) > 0,
-        "serving.overload.shed: the overload burst must shed load",
-    )
-    expect(
-        overload.get("retry_after_present") is True,
-        "serving.overload.retry_after_present: 503 responses must carry "
-        "Retry-After",
-    )
-    expect(
-        overload.get("all_responded") is True,
-        "serving.overload.all_responded: silent request drops detected",
-    )
-    ann = serving.get("ann") or {}
-    recall = ann.get("recall")
-    expect(
-        isinstance(recall, float) and 0.0 <= recall <= 1.0,
-        "serving.ann.recall: expected float in [0, 1]",
-    )
-    expect(
-        isinstance(recall, float) and recall >= 0.95,
-        "serving.ann.recall: below the 0.95 recall@10 contract",
-    )
-
-
-def _validate_sweep_section(sweep: dict, expect) -> None:
-    """Schema/sanity checks for the sweep-orchestrator section (helper of
-    :func:`validate_report`).
-
-    Gates the orchestrator's perf contract: the fixed 8-run grid must
-    complete without failures, parallel dispatch must make forward
-    progress (positive runs/sec), and a resume over the completed sweep
-    must skip every run while costing a small fraction of the fresh
-    pass.
-    """
-    expect(
-        isinstance(sweep.get("runs"), int) and sweep.get("runs", 0) >= 8,
-        "sweep.runs: expected the >=8-run benchmark grid",
-    )
-    expect(
-        isinstance(sweep.get("workers"), int) and sweep.get("workers", 0) >= 2,
-        "sweep.workers: expected a parallel (>=2 worker) dispatch",
-    )
-    expect(
-        sweep.get("executed") == sweep.get("runs"),
-        "sweep.executed: the fresh pass must execute every run",
-    )
-    expect(sweep.get("failed") == 0, "sweep.failed: expected zero failed runs")
-    for key in ("fresh_seconds", "runs_per_second", "resume_seconds"):
-        expect(
-            isinstance(sweep.get(key), float) and sweep.get(key, -1.0) > 0,
-            f"sweep.{key}: expected positive float",
-        )
-    expect(
-        sweep.get("resume_skipped") == sweep.get("runs"),
-        "sweep.resume_skipped: resume must skip every completed run",
-    )
-    expect(
-        sweep.get("resume_executed") == 0,
-        "sweep.resume_executed: resume must re-execute nothing",
-    )
-    ratio = sweep.get("resume_overhead_ratio")
-    expect(
-        isinstance(ratio, float) and 0.0 <= ratio < 0.5,
-        "sweep.resume_overhead_ratio: resume must cost <50% of a fresh run",
-    )
+        raise ValueError("invalid benchmark report:\n  " + "\n  ".join(problems))
 
 
 def compare_to_baseline(
@@ -1115,7 +1034,7 @@ def _default_baseline() -> Path | None:
 
 
 def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the benchmark flags (shared by the CLI and the script)."""
+    """Attach the ``repro bench`` flags to its subparser."""
     parser.add_argument(
         "--quick", action="store_true",
         help="seconds-scale smoke workload (CI); default is the full bench",
@@ -1199,27 +1118,23 @@ def _print_serving_summary(serving: dict) -> None:
     )
 
 
+def _write_report(path: str, report: dict) -> None:
+    out = Path(path)
+    out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {out}")
+
+
 def run_from_args(args: argparse.Namespace) -> int:
-    """Execute the benchmark from parsed arguments (CLI entry point)."""
-    if getattr(args, "serving_only", False):
+    """Execute ``repro bench`` from its parsed arguments."""
+    if args.serving_only:
         serving = measure_serving(seed=args.seed)
-        problems: list[str] = []
-        _validate_serving_section(
-            serving,
-            lambda ok, message: None if ok else problems.append(message),
-        )
-        if problems:
-            raise ValueError(
-                "invalid serving benchmark:\n  " + "\n  ".join(problems)
-            )
         report = {"schema_version": SCHEMA_VERSION, "serving": serving}
-        out = Path(args.out)
-        out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-        print(f"wrote {out}")
+        validate_report(report, sections=("serving",))
+        _write_report(args.out, report)
         _print_serving_summary(serving)
         return 0
 
-    if getattr(args, "out_of_core", False):
+    if args.out_of_core:
         report = run_out_of_core(
             users=args.ooc_users,
             rounds=args.ooc_rounds,
@@ -1227,10 +1142,8 @@ def run_from_args(args: argparse.Namespace) -> int:
             rss_cap_mb=args.rss_cap_mb,
             seed=args.seed,
         )
-        out = Path(args.out)
-        out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+        _write_report(args.out, report)
         section = report["out_of_core"]
-        print(f"wrote {out}")
         print(
             f"out-of-core: {section['num_users']} users / "
             f"{section['num_checkins']} check-ins in "
@@ -1257,11 +1170,8 @@ def run_from_args(args: argparse.Namespace) -> int:
     report = run_benchmark(
         quick=args.quick, seed=args.seed, backend=args.backend
     )
-    out = Path(args.out)
-    out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-
+    _write_report(args.out, report)
     training = report["training"]
-    print(f"wrote {out}")
     print(
         f"training: {training['steps']} steps in "
         f"{training['total_seconds']:.2f}s "
@@ -1324,13 +1234,3 @@ def run_from_args(args: argparse.Namespace) -> int:
         return 3
     print(f"baseline: ok (within {_REGRESSION_THRESHOLD:.0%} of {baseline_path})")
     return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    add_bench_arguments(parser)
-    return run_from_args(parser.parse_args(argv))
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

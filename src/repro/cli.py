@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 from typing import Sequence
 
@@ -744,11 +745,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return _COMMANDS[args.command](args)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        # Python's default filters show DeprecationWarning only for
+        # __main__; a CLI user must still hear that a spelling they typed
+        # (say ``--backend numba``) is deprecated. Scoped to the command,
+        # so an in-process caller's own filters come back afterwards.
+        warnings.filterwarnings(
+            "default", category=DeprecationWarning, module=r"repro(\.|$)"
+        )
+        try:
+            return _COMMANDS[args.command](args)
+        except ReproError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -26,7 +26,8 @@ Five ideas, all classic word2vec-at-scale techniques:
 5. **Sigmoid lookup table.** The sigmoid-based losses use the precomputed
    :class:`~repro.nn.functional.SigmoidTable` instead of per-element
    ``exp`` (the sampled-softmax default needs no sigmoid and is inlined
-   directly into the batch step).
+   directly into the chunk-batched step, :func:`_grouped_step`, which
+   runs every paper-default bucket, alone or in a chunk).
 
 The backend instance itself is stateless (lookup table and loss kernels
 are lazily-built module-level caches), so it pickles cheaply into process
@@ -116,12 +117,10 @@ class _BucketPlan:
     destinations inside a block are merged ahead of time: one flat stable
     sort over all batches' destination rows yields, per batch, the unique
     destination rows plus a (scatter order, segment starts) pair that
-    merges duplicates with one ``take`` + ``np.add.reduceat``. Both step
-    runners consume exactly this schedule — :func:`_shared_step` per
-    batch, :func:`_grouped_step` after concatenating the (order, starts)
-    pairs of many buckets — and ``reduceat`` sums every segment
-    sequentially over the same entry order, which is what keeps the two
-    paths bit-identical however buckets are chunked.
+    merges duplicates with one ``take`` + ``np.add.reduceat``, which sums
+    every segment sequentially over that entry order. The plan runs the
+    losses other than sampled softmax, and per-pair negatives;
+    :func:`_compile_chunk` builds the same schedule for the paper default.
 
     Target rows keep their constant-1 trailing column by construction:
     the step runners zero the trailing column of the ``d_target`` part of
@@ -150,8 +149,6 @@ class _BucketPlan:
         "_n",
         "_wk",
         "_lg",
-        "_mx",
-        "_s",
         "_vals",
         "_seg",
     )
@@ -272,8 +269,6 @@ class _BucketPlan:
             self._n = np.empty((k_max, width), dtype=dtype)
             self._wk = np.empty((n_max, width), dtype=dtype)
             self._lg = np.empty((1 + k_max, n_max), dtype=dtype)
-            self._mx = np.empty(n_max, dtype=dtype)
-            self._s = np.empty(n_max, dtype=dtype)
             self._vals = np.empty((rows_max, width), dtype=dtype)
             self._seg = np.empty((rows_max, width), dtype=dtype)
 
@@ -323,21 +318,15 @@ class FastBackend(ReferenceBackend):
     ) -> BucketDelta:
         if not batches:
             return empty_bucket_delta(theta)
+        if _chunk_eligible([batches], spec):
+            return self.fused_multi_bucket_update(theta, [batches], spec)[0]
         plan = _BucketPlan(theta, batches, dtype=self.accumulation_dtype)
-        loss_total = self._run_steps(plan, spec)
-        return _finalize(plan, theta, spec, loss_total, len(batches))
-
-    def _run_steps(self, plan: _BucketPlan, spec: LocalUpdateSpec) -> float:
-        softmax = spec.loss_name == "sampled_softmax"
-        kernel = None if softmax else _loss_kernel(spec.loss_name, spec.num_locations)
-        pair_kernel = _loss_kernel(spec.loss_name, spec.num_locations)
+        kernel = _loss_kernel(spec.loss_name, spec.num_locations)
         loss_total = 0.0
         for step in plan.steps:
-            if step[0]:
-                loss_total += _shared_step(plan, step, spec, kernel)
-            else:
-                loss_total += _per_pair_step(plan, step, spec, pair_kernel)
-        return loss_total
+            run_step = _shared_step if step[0] else _per_pair_step
+            loss_total += run_step(plan, step, spec, kernel)
+        return _finalize(plan, theta, spec, loss_total, len(batches))
 
     def fused_multi_bucket_update(
         self,
@@ -357,13 +346,11 @@ class FastBackend(ReferenceBackend):
         across workers.
 
         Only the paper-default configuration (sampled softmax, shared
-        negatives) takes this path; anything else falls back to
-        :meth:`fused_bucket_update` per bucket.
+        negatives) takes this path, for a single bucket too; anything
+        else runs :meth:`fused_bucket_update`'s :class:`_BucketPlan` per
+        bucket.
         """
-        eligible = spec.loss_name == "sampled_softmax" and all(
-            batch.shared for batches in bucket_batches for batch in batches
-        )
-        if not eligible:
+        if not _chunk_eligible(bucket_batches, spec):
             return [
                 self.fused_bucket_update(theta, batches, spec)
                 for batches in bucket_batches
@@ -396,6 +383,16 @@ class FastBackend(ReferenceBackend):
         return results  # type: ignore[return-value]
 
 
+def _chunk_eligible(
+    bucket_batches: Sequence[Sequence[BucketBatch]], spec: LocalUpdateSpec
+) -> bool:
+    """Whether the chunk-batched path runs these buckets: sampled softmax
+    with shared negatives in every batch (the paper default)."""
+    return spec.loss_name == "sampled_softmax" and all(
+        batch.shared for batches in bucket_batches for batch in batches
+    )
+
+
 def _finalize(
     plan: _BucketPlan,
     theta,
@@ -420,12 +417,12 @@ def _shared_step(
     plan: _BucketPlan,
     step: tuple,
     spec: LocalUpdateSpec,
-    kernel: LossKernel | None,
+    kernel: LossKernel,
 ) -> float:
-    """One shared-negative SGD step through the plan's scratch buffers.
-
-    ``kernel=None`` means sampled softmax, inlined in place; any other
-    loss goes through its dtype-preserving kernel. Returns the batch loss.
+    """One shared-negative SGD step through the plan's scratch buffers,
+    with the loss through its dtype-preserving kernel. Returns the batch
+    loss. (Sampled softmax with shared negatives runs chunk-batched in
+    :func:`_grouped_step` instead.)
 
     The logits live transposed — ``(1 + neg, n)``, example per column —
     so the negative block is the direct output of one contiguous GEMM.
@@ -449,26 +446,8 @@ def _shared_step(
     np.einsum("nd,nd->n", hidden, ctx, out=logits[0])
     np.dot(neg, hidden.T, out=logits[1:])
 
-    if kernel is None:
-        # Sampled softmax, fused in place: softmax -> loss -> grad, with
-        # the -lr/batch update scale folded straight into the gradient.
-        peak = logits.max(0, plan._mx[:n])
-        np.subtract(logits, peak, out=logits)
-        np.exp(logits, out=logits)
-        denominator = logits.sum(0, None, plan._s[:n])
-        np.divide(logits, denominator, out=logits)
-        clamped = np.maximum(logits[0], _TINY32, out=plan._mx[:n])
-        np.log(clamped, out=clamped)
-        loss = -float(clamped.sum()) / n
-        logits[0] -= 1.0
-        grad = np.multiply(
-            logits, np.float32(-spec.learning_rate / n), out=logits
-        )
-    else:
-        loss, untransposed = kernel(logits.T)
-        grad = np.multiply(
-            untransposed.T, np.float32(-spec.learning_rate), out=logits
-        )
+    loss, untransposed = kernel(logits.T)
+    grad = np.multiply(untransposed.T, np.float32(-spec.learning_rate), out=logits)
 
     grad_positive = grad[0][:, None]  # (n, 1)
     grad_negative = grad[1:]  # (k, n)
@@ -572,8 +551,8 @@ def _compile_chunk(
     followed by shape-grouping would: the same stacked rows, the same
     sort-derived duplicate-merge segments (stable sort, so the same entry
     order within each segment), and the same singleton/duplicate split —
-    which is what keeps the batched execution bit-identical to the
-    single-bucket step path.
+    which is what keeps a bucket's result bit-identical however the
+    executor chunks buckets (a bucket alone is a chunk of one).
     """
     num_buckets = len(bucket_lists)
     vocab = int(theta[EMBEDDING].shape[0])
@@ -930,8 +909,8 @@ def _grouped_step(
 ) -> list[float]:
     """One local-SGD step of one compiled shape group as batched math.
 
-    The sampled-softmax shared-negative step of :func:`_shared_step`,
-    lifted to one extra leading axis: one gather returns the whole
+    The sampled-softmax shared-negative step, batched over one extra
+    leading axis (one member per bucket): one gather returns the whole
     ``(B, m, dim + 1)`` row block per bucket and the logits run through
     one batched GEMM per direction. Duplicate scatter destinations merge
     through the precompiled singleton/duplicate schedule, and fancy-index
@@ -966,8 +945,8 @@ def _grouped_step(
     np.divide(logits, denominator[:, None, :], out=logits)
     clamped = np.maximum(logits[:, 0], _TINY32)
     np.log(clamped, out=clamped)
-    # float32 row sums (the association _shared_step uses), then the
-    # -1/n scale in float64 — matching its ``-float(sum) / n`` exactly.
+    # float32 row sums, then the -1/n scale in float64: each member's
+    # loss is ``-float(sum) / n``, whatever the group's size.
     batch_losses = clamped.sum(1).astype(np.float64)
     batch_losses /= -n
     logits[:, 0] -= 1.0

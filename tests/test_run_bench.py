@@ -1,22 +1,18 @@
-"""The end-to-end benchmark runner (``repro.bench`` via its shim)."""
+"""The end-to-end benchmark, ``repro bench`` (:mod:`repro.bench`)."""
 
 import json
 
 import pytest
 
-from benchmarks.run_bench import (
-    STAGE_NAMES,
-    compare_to_baseline,
-    main,
-    validate_report,
-)
+from repro.bench import STAGE_NAMES, compare_to_baseline, validate_report
+from repro.cli import main
 
 
 @pytest.fixture(scope="module")
 def report(tmp_path_factory):
     """One real ``--quick`` run, shared by every test in the module."""
     out = tmp_path_factory.mktemp("bench") / "BENCH_plp.json"
-    assert main(["--quick", "--out", str(out), "--seed", "3",
+    assert main(["bench", "--quick", "--out", str(out), "--seed", "3",
                  "--baseline", "none"]) == 0
     return json.loads(out.read_text())
 
@@ -86,48 +82,162 @@ class TestQuickRun:
                 )
 
 
+_DELETE = object()
+
+#: One case per row of the validator's rule table: ``(name, dotted path,
+#: value, expected line)``. Each case sets one field of the fixture report
+#: to ``value`` (or deletes it) and expects a problem line that starts
+#: with ``expected``: the row's resolved path and its requirement.
+_BROKEN_FIELDS = [
+    ("schema_version_type", "schema_version", "5", "schema_version: expected int"),
+    ("wrong_schema_version", "schema_version", 999, "schema_version: expected 5"),
+    ("quick_type", "quick", 1, "quick: expected bool"),
+    ("seed_type", "seed", "3", "seed: expected int"),
+    ("backend_type", "backend", None, "backend: expected str"),
+    ("generated_unix_type", "generated_unix", 1, "generated_unix: expected float"),
+    ("workload_type", "workload", [], "workload: expected dict"),
+    ("missing_section", "training", _DELETE, "training: expected dict"),
+    ("kernels_type", "kernels", [], "kernels: expected dict"),
+    ("sharded_type", "sharded", [], "sharded: expected dict"),
+    ("serving_type", "serving", [], "serving: expected dict"),
+    ("missing_sweep_section", "sweep", _DELETE, "sweep: expected dict"),
+    ("evaluation_type", "evaluation", [], "evaluation: expected dict"),
+    ("recommend_type", "recommend", [], "recommend: expected dict"),
+    ("peak_rss_missing", "peak_rss_bytes", _DELETE, "peak_rss_bytes: expected int > 0 or null"),
+    ("peak_rss_zero", "peak_rss_bytes", 0, "peak_rss_bytes: expected int > 0 or null"),
+    ("negative_steps", "training.steps", -1, "training.steps: expected int >= 0"),
+    ("float_buckets_total", "training.buckets_total", 1.5,
+     "training.buckets_total: expected int >= 0"),
+    ("negative_total_seconds", "training.total_seconds", -1.0,
+     "training.total_seconds: expected float >= 0"),
+    ("int_buckets_per_second", "training.buckets_per_second", 5,
+     "training.buckets_per_second: expected float >= 0"),
+    ("incomplete_stages", "training.stage_seconds.noise", _DELETE,
+     "training.stage_seconds: expected stages"),
+    *(
+        (f"stage_{key}_type", f"training.stage_seconds.noise.{key}", "x",
+         f"training.stage_seconds.noise.{key}: expected number")
+        for key in ("count", "total_seconds", "mean_seconds", "max_seconds")
+    ),
+    ("no_reference_timing", "kernels.local_train_seconds.reference", _DELETE,
+     "kernels.local_train_seconds: expected dict with 'reference'"),
+    ("zero_kernel_timing", "kernels.local_train_seconds.fast", 0.0,
+     "kernels.local_train_seconds.fast: expected float > 0"),
+    ("missing_kernels", "kernels.speedup_vs_reference", _DELETE,
+     "kernels.speedup_vs_reference: expected dict with 'fast'"),
+    ("negative_kernel_speedup", "kernels.speedup_vs_reference.fast", -1.0,
+     "kernels.speedup_vs_reference.fast: expected float > 0"),
+    ("zero_serial_throughput", "sharded.serial.buckets_per_second", 0.0,
+     "sharded.serial.buckets_per_second: expected float > 0"),
+    ("no_worker_counts", "sharded.workers", {}, "sharded.workers: expected non-empty dict"),
+    *(
+        (f"int_worker_{key}", f"sharded.workers.1.{key}", 1,
+         f"sharded.workers.1.{key}: expected float > 0")
+        for key in ("seconds", "buckets_per_second", "speedup_vs_serial")
+    ),
+    ("sharded_overhead_floor", "sharded.workers.1.speedup_vs_serial", 0.3,
+     "sharded.workers.1.speedup_vs_serial: below the 0.5x overhead floor"),
+    ("ledger_not_identical", "sharded.ledger_identical", False,
+     "sharded.ledger_identical: executors must produce one ledger"),
+    ("embeddings_not_identical", "sharded.embeddings_identical", False,
+     "sharded.embeddings_identical: executors must produce one model"),
+    *(
+        (f"zero_{phase}_throughput", f"serving.{phase}.req_per_s", 0.0,
+         f"serving.{phase}.req_per_s: expected float > 0")
+        for phase in ("baseline", "sustained")
+    ),
+    ("baseline_p50_above_p95", "serving.baseline.p50_seconds", 1e9,
+     "serving.baseline: expected float 0 <= p50_seconds <= p95_seconds"),
+    ("sustained_negative_p50", "serving.sustained.p50_seconds", -1.0,
+     "serving.sustained: expected float 0 <= p50_seconds <= p95_seconds"),
+    ("sustained_drops", "serving.sustained.all_responded", False,
+     "serving.sustained.all_responded: silent request drops detected"),
+    ("shed_rate_above_one", "serving.sustained.shed_rate", 1.5,
+     "serving.sustained.shed_rate: expected float in [0, 1]"),
+    ("batching_no_faster", "serving.sustained.speedup_vs_baseline", 0.9,
+     "serving.sustained.speedup_vs_baseline: expected float > 1.0"),
+    ("overload_not_shed", "serving.overload.shed", 0,
+     "serving.overload.shed: expected int > 0"),
+    ("no_retry_after", "serving.overload.retry_after_present", False,
+     "serving.overload.retry_after_present: 503 responses must carry Retry-After"),
+    ("overload_drops", "serving.overload.all_responded", False,
+     "serving.overload.all_responded: silent request drops detected"),
+    ("recall_above_one", "serving.ann.recall", 1.5,
+     "serving.ann.recall: expected float in [0, 1]"),
+    ("ann_recall_below_contract", "serving.ann.recall", 0.9,
+     "serving.ann.recall: expected float >= 0.95"),
+    ("small_sweep_grid", "sweep.runs", 4, "sweep.runs: expected int >= 8"),
+    ("serial_sweep", "sweep.workers", 1, "sweep.workers: expected int >= 2"),
+    ("sweep_runs_not_executed", "sweep.executed", 0, "sweep: expected executed == runs"),
+    ("failed_sweep_runs", "sweep.failed", 1, "sweep.failed: expected zero failed runs"),
+    *(
+        (f"zero_sweep_{key}", f"sweep.{key}", 0.0, f"sweep.{key}: expected float > 0")
+        for key in ("fresh_seconds", "runs_per_second", "resume_seconds")
+    ),
+    ("incomplete_sweep_resume", "sweep.resume_skipped", 7,
+     "sweep: expected resume_skipped == runs"),
+    ("resume_executed", "sweep.resume_executed", 1,
+     "sweep.resume_executed: resume must re-execute nothing"),
+    ("slow_resume", "sweep.resume_overhead_ratio", 0.5,
+     "sweep.resume_overhead_ratio: resume must cost <50% of a fresh run"),
+    ("empty_hit_rate", "evaluation.hit_rate", {}, "evaluation.hit_rate: expected non-empty dict"),
+    *(
+        (f"{key}_type", f"evaluation.{key}", None, f"evaluation.{key}: expected float")
+        for key in ("query_seconds_p50", "query_seconds_p95")
+    ),
+    ("no_recommend_queries", "recommend.queries", 0, "recommend.queries: expected int > 0"),
+    ("recommend_p50_above_p95", "recommend.p50_seconds", 1e9,
+     "recommend: expected float p50_seconds <= p95_seconds"),
+]
+
+
+def _broken(report: dict, path: str, value) -> dict:
+    """A deep copy of ``report`` with the field at ``path`` replaced."""
+    broken = json.loads(json.dumps(report))
+    *parents, leaf = path.split(".")
+    node = broken
+    for key in parents:
+        node = node[key]
+    if value is _DELETE:
+        del node[leaf]
+    else:
+        node[leaf] = value
+    return broken
+
+
+def _assert_rejected(report: dict, expected: str, **kwargs) -> None:
+    with pytest.raises(ValueError) as excinfo:
+        validate_report(report, **kwargs)
+    lines = [line.strip() for line in str(excinfo.value).splitlines()]
+    assert any(line.startswith(expected) for line in lines), str(excinfo.value)
+
+
 class TestValidateReport:
-    def test_rejects_missing_section(self, report):
-        broken = dict(report)
-        del broken["training"]
-        with pytest.raises(ValueError, match="training"):
-            validate_report(broken)
+    """Every rule of the validator's table rejects its broken field by
+    name. The cases of ``_BROKEN_FIELDS`` become ``test_rejects_<name>``
+    methods (below the class) rather than one ``parametrize``, so that
+    each case keeps a stable test id of its own."""
 
-    def test_rejects_incomplete_stages(self, report):
-        broken = json.loads(json.dumps(report))
-        del broken["training"]["stage_seconds"]["noise"]
-        with pytest.raises(ValueError, match="stage_seconds"):
-            validate_report(broken)
+    def test_sections_limit_the_rules(self, report):
+        serving_only = {"schema_version": report["schema_version"],
+                        "serving": report["serving"]}
+        validate_report(serving_only, sections=("serving",))
+        _assert_rejected(
+            _broken(serving_only, "serving.ann.recall", 0.9),
+            "serving.ann.recall: expected float >= 0.95",
+            sections=("serving",),
+        )
 
-    def test_rejects_wrong_schema_version(self, report):
-        broken = dict(report)
-        broken["schema_version"] = 999
-        with pytest.raises(ValueError, match="schema_version"):
-            validate_report(broken)
 
-    def test_rejects_missing_kernels(self, report):
-        broken = json.loads(json.dumps(report))
-        del broken["kernels"]["speedup_vs_reference"]
-        with pytest.raises(ValueError, match="speedup_vs_reference"):
-            validate_report(broken)
+def _rejects(path: str, value, expected: str):
+    def test(self, report):
+        _assert_rejected(_broken(report, path, value), expected)
 
-    def test_rejects_missing_sweep_section(self, report):
-        broken = dict(report)
-        del broken["sweep"]
-        with pytest.raises(ValueError, match="sweep"):
-            validate_report(broken)
+    return test
 
-    def test_rejects_incomplete_sweep_resume(self, report):
-        broken = json.loads(json.dumps(report))
-        broken["sweep"]["resume_skipped"] = broken["sweep"]["runs"] - 1
-        with pytest.raises(ValueError, match="resume_skipped"):
-            validate_report(broken)
 
-    def test_rejects_failed_sweep_runs(self, report):
-        broken = json.loads(json.dumps(report))
-        broken["sweep"]["failed"] = 1
-        with pytest.raises(ValueError, match="failed"):
-            validate_report(broken)
+for _name, _path, _value, _expected in _BROKEN_FIELDS:
+    setattr(TestValidateReport, f"test_rejects_{_name}", _rejects(_path, _value, _expected))
 
 
 class TestCommittedBaseline:
@@ -214,5 +324,5 @@ class TestCompareToBaseline:
         baseline_path = tmp_path / "baseline.json"
         baseline_path.write_text(json.dumps(baseline))
         out = tmp_path / "BENCH_plp.json"
-        assert main(["--quick", "--out", str(out), "--seed", "3",
+        assert main(["bench", "--quick", "--out", str(out), "--seed", "3",
                      "--baseline", str(baseline_path)]) == 3
