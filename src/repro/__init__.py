@@ -33,8 +33,8 @@ Subpackages:
     - :mod:`repro.geoind` — geo-indistinguishability extension.
     - :mod:`repro.serving` — batched inference and the ``repro serve`` HTTP
       layer.
-    - :mod:`repro.observability` — unified tracing, metrics, and profiling
-      across training, serving, and evaluation.
+    - :mod:`repro.observability` — unified tracing and metrics across
+      training, serving, and evaluation.
 """
 
 from repro.api import (

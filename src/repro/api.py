@@ -17,8 +17,8 @@ stable across internal refactors::
 
 Observability is part of the facade: build a bundle with
 :func:`with_observability` and pass it to :func:`train` / :func:`evaluate`
-to collect spans, metrics, and per-stage profiles without changing any
-result::
+to collect spans and metrics (per-stage wall time included) without
+changing any result::
 
     obs = repro.with_observability(trace_jsonl="trace.jsonl")
     model = repro.train(config, dataset, with_observability=obs)

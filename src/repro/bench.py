@@ -5,7 +5,9 @@ Runs the full pipeline on the synthetic Foursquare-Tokyo workload with an
 (``BENCH_plp.json``) with:
 
 - per-stage step time (sample/group/local_train/aggregate/noise/apply/
-  account) from the stage profiler,
+  account) from the engine's ``repro_engine_stage_seconds`` histogram,
+  the same signal an operator scrapes (``account`` includes the budget
+  preview),
 - training throughput (steps, buckets/sec),
 - a per-backend kernel comparison: the engine's ``local_train`` stage
   timed for every compute backend on one fixed workload, with the
@@ -180,6 +182,22 @@ def _holdout_queries(holdout) -> list[list[int]]:
     ]
 
 
+def _stage_seconds(registry) -> dict:
+    """``{stage: {count, total_seconds, mean_seconds, max_seconds}}`` for
+    every engine stage, read from ``repro_engine_stage_seconds``."""
+    histogram = registry.histogram("repro_engine_stage_seconds")
+    stages = {}
+    for stage in STAGE_NAMES:
+        stats = histogram.stats(stage=stage)
+        stages[stage] = {
+            "count": stats["count"],
+            "total_seconds": stats["total"],
+            "mean_seconds": stats["mean"],
+            "max_seconds": stats["max"],
+        }
+    return stages
+
+
 def _timed_train(config, dataset, seed: int, **train_kwargs):
     """One instrumented training run; returns the model and the total of
     its ``local_train`` stage, the part the backend and executor own."""
@@ -187,9 +205,8 @@ def _timed_train(config, dataset, seed: int, **train_kwargs):
     model = repro.train(
         config, dataset, rng=seed, with_observability=obs, **train_kwargs
     )
-    summary = obs.profiler.summary()
     obs.close()
-    return model, float(summary["engine.stage.local_train"]["total_seconds"])
+    return model, _stage_seconds(obs.metrics)["local_train"]["total_seconds"]
 
 
 def measure_kernel_speedup(repeats: int = 3, seed: int = 7) -> dict:
@@ -751,15 +768,6 @@ def run_benchmark(
             continue
         recommend_seconds.observe(time.perf_counter() - started)
 
-    profile = obs.profiler.summary()
-    stage_seconds = {
-        stage: profile.get(
-            f"engine.stage.{stage}",
-            {"count": 0, "total_seconds": 0.0, "mean_seconds": 0.0,
-             "max_seconds": 0.0},
-        )
-        for stage in STAGE_NAMES
-    }
     steps = int(obs.metrics.counter("repro_engine_steps_total").total())
     buckets = int(obs.metrics.counter("repro_engine_buckets_total").total())
     query_seconds = obs.metrics.histogram("repro_eval_query_seconds")
@@ -781,7 +789,7 @@ def run_benchmark(
             "buckets_total": buckets,
             "buckets_per_second": buckets / train_seconds if train_seconds else 0.0,
             "epsilon_spent": float(model.privacy.get("epsilon", 0.0)),
-            "stage_seconds": stage_seconds,
+            "stage_seconds": _stage_seconds(obs.metrics),
         },
         "kernels": measure_kernel_speedup(
             repeats=mode["kernel_repeats"], seed=seed

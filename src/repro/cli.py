@@ -40,7 +40,7 @@ from repro.core.dpsgd import UserLevelDPSGD
 from repro.core.nonprivate import NonPrivateTrainer
 from repro.core.trainer import PrivateLocationPredictor
 from repro.data.checkins import CheckinDataset
-from repro.data.io import load_checkins_csv, save_checkins_csv
+from repro.data.io import save_checkins_csv
 from repro.data.preprocessing import paper_preprocessing
 from repro.data.splitting import holdout_users_split, sessionize_dataset
 from repro.data.store import CheckinStore, open_corpus

@@ -143,7 +143,7 @@ class TrainingEngine:
             resuming from a checkpoint, pass the checkpoint's step so the
             derived per-step RNG streams continue where the original run
             left off.
-        observability: optional tracing/metrics/profiling bundle; attaching
+        observability: optional tracing/metrics bundle; attaching
             one never changes the training result (no RNG draws, no state
             mutation — wall-clock measurement only).
     """

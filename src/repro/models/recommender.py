@@ -19,6 +19,13 @@ points:
   the embedding matrix. Scores may differ from the exact kernel in the
   last ulps (and ties may order differently); this is the serving-layer
   default, where throughput matters and scores are only a ranking signal.
+  It is not batch-independent: OpenBLAS picks its float32 kernel by
+  matrix shape, so a query's scores can differ in the last bits (up to
+  about 1e-7) with the size of the batch it rides in, and near-ties can
+  swap. Against a 40-query batch, with OpenBLAS 0.3.31 on x86-64, every
+  batch of 1 to 16 queries differed on a 50 x 32 model, batches of up to
+  5-6 on 200 x 32, up to 2 on 600 x 50, and none on a 5,069 x 50 model.
+  Use the exact kernel where batch independence matters.
 
 Queries with no location known to the model fall back to an optional
 popularity prior (``fallback_scores``) instead of producing NaN scores;
@@ -150,10 +157,13 @@ class NextLocationRecommender:
             np.float32
         )
         if profiles.shape[0] == 1:
-            # A one-row product takes BLAS's matrix-vector path, whose
-            # float32 sums differ in the last bits from the matrix-matrix
-            # path every larger batch takes. Scoring the row twice keeps a
-            # query's scores the same alone as in a batch.
+            # A one-row product takes BLAS's matrix-vector path; scoring
+            # the row twice sends a lone query through the matrix-matrix
+            # path that batches take. That alone does not make scores
+            # batch-independent: OpenBLAS still picks its float32 kernel
+            # by shape, so on small models a query's scores differ in the
+            # last bits between batch sizes (see the module docstring).
+            # Only the exact kernel is batch-independent.
             return (np.repeat(profiles, 2, axis=0) @ matrix32.T)[:1]
         return profiles @ matrix32.T
 

@@ -1,20 +1,23 @@
-"""Unified observability: tracing, metrics, and profiling for every layer.
+"""Unified observability: tracing and metrics for every layer.
 
 One subsystem instruments the whole system — the training engine's stage
 pipeline, the serving stack, and the evaluator all report through the same
-three primitives:
+two signals:
 
 - **Tracing** (:mod:`~repro.observability.tracing`): nestable
   :class:`Span` regions with wall time, monotonic ids, and parent links,
   collected by a :class:`Tracer` and exportable as JSONL.
 - **Metrics** (:mod:`~repro.observability.metrics`): a thread-safe
   :class:`MetricsRegistry` of counters, gauges, and histograms with label
-  support, rendered as Prometheus text or JSONL.
-- **Profiling** (:mod:`~repro.observability.profiling`): cheap per-stage
-  wall-time aggregates (:class:`StageProfiler`) and a peak-RSS sampler.
+  support, rendered as Prometheus text or JSONL. Per-stage wall time is
+  the ``repro_engine_stage_seconds`` histogram; ``repro bench`` reads its
+  stage breakdown from it.
+
+:func:`peak_rss_bytes` (:mod:`~repro.observability.profiling`) samples the
+process's peak resident set.
 
 :class:`Observability` (:mod:`~repro.observability.hooks`) bundles the
-three behind one handle; build it with :func:`with_observability` and pass
+two behind one handle; build it with :func:`with_observability` and pass
 it to ``repro.train`` / ``repro.evaluate`` / the serving stack. The
 :class:`Observer` protocol (:mod:`~repro.observability.observer`) unifies
 the training engine's and serving stack's callback layers.
@@ -43,7 +46,7 @@ from repro.observability.metrics import (
     escape_label_value,
 )
 from repro.observability.observer import Observer
-from repro.observability.profiling import StageProfiler, peak_rss_bytes
+from repro.observability.profiling import peak_rss_bytes
 from repro.observability.tracing import JsonlSpanSink, Span, Tracer
 
 __all__ = [
@@ -59,7 +62,6 @@ __all__ = [
     "Observer",
     "ShardMetrics",
     "Span",
-    "StageProfiler",
     "Tracer",
     "escape_help_text",
     "escape_label_value",

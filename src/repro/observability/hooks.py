@@ -1,7 +1,7 @@
-"""The :class:`Observability` bundle: tracer + metrics + profiler as one unit.
+"""The :class:`Observability` bundle: tracer + metrics as one unit.
 
 Call sites (engine, evaluator, serving, CLI, benchmarks) receive a single
-``observability`` object instead of three separate knobs. The bundle is
+``observability`` object instead of separate knobs. The bundle is
 pure instrumentation: attaching one to a training run changes no random
 draw, no parameter, and no ledger entry — bit-identity with the untraced
 run is part of the contract (and asserted in ``tests/observability``).
@@ -11,7 +11,7 @@ Build one with :func:`with_observability`::
     obs = with_observability(trace_jsonl="trace.jsonl")
     model = repro.train(config, dataset, with_observability=obs)
     print(obs.metrics.render_prometheus())
-    print(obs.profiler.summary())
+    print(obs.metrics.histogram("repro_engine_stage_seconds").stats(stage="account"))
     obs.close()
 """
 
@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.profiling import StageProfiler
 from repro.observability.tracing import JsonlSpanSink, Span, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -31,16 +30,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class Observability:
-    """One handle over a tracer, a metrics registry, and a stage profiler.
+    """One handle over a tracer and a metrics registry.
 
-    Any component may be ``None``; :meth:`span` degrades gracefully to
-    plain timing (profiler only) or to a no-op. Prefer building instances
-    through :func:`with_observability`.
+    Either component may be ``None``; without a tracer :meth:`span` is a
+    no-op. Prefer building instances through :func:`with_observability`.
 
     Args:
         tracer: span collector, or ``None`` for no tracing.
         metrics: shared metrics registry, or ``None`` for no metrics.
-        profiler: per-stage aggregates, or ``None`` for no profiling.
         metrics_path / metrics_format: when set, :meth:`close` writes the
             registry there (``"prometheus"`` text or ``"jsonl"``).
     """
@@ -49,40 +46,31 @@ class Observability:
         self,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
-        profiler: StageProfiler | None = None,
         metrics_path: str | Path | None = None,
         metrics_format: str = "prometheus",
         _owned_sink: JsonlSpanSink | None = None,
     ) -> None:
         self.tracer = tracer
         self.metrics = metrics
-        self.profiler = profiler
         self.metrics_path = Path(metrics_path) if metrics_path else None
         self.metrics_format = metrics_format
         self._owned_sink = _owned_sink
 
     @contextmanager
     def span(self, name: str, **attributes: Any) -> Iterator[Span | None]:
-        """Trace + profile a ``with`` block; yields the open span (or None)."""
-        if self.tracer is not None:
+        """Trace a ``with`` block; yields the open span (or None)."""
+        if self.tracer is None:
+            yield None
+        else:
             with self.tracer.span(name, **attributes) as span:
                 yield span
-            if self.profiler is not None and span.duration_seconds is not None:
-                self.profiler.record(name, span.duration_seconds)
-        elif self.profiler is not None:
-            with self.profiler.stage(name):
-                yield None
-        else:
-            yield None
 
     def record_span(
         self, name: str, duration_seconds: float, **attributes: Any
     ) -> None:
-        """Record an already-measured region (post-hoc span + profile)."""
+        """Record an already-measured region as a post-hoc span."""
         if self.tracer is not None:
             self.tracer.add_completed(name, duration_seconds, **attributes)
-        if self.profiler is not None:
-            self.profiler.record(name, duration_seconds)
 
     def close(self) -> None:
         """Flush owned outputs: trace sink and the configured metrics file."""
@@ -104,11 +92,10 @@ def with_observability(
     metrics_format: str = "prometheus",
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
-    profiler: StageProfiler | None = None,
 ) -> Observability:
     """Build an :class:`Observability` bundle with sensible defaults.
 
-    With no arguments: in-memory tracer, fresh registry, fresh profiler.
+    With no arguments: in-memory tracer and a fresh registry.
     ``trace_jsonl`` streams every finished span to a JSON-lines file;
     ``metrics_path``/``metrics_format`` write the registry on
     :meth:`Observability.close`. Pass pre-built components to share them
@@ -122,7 +109,6 @@ def with_observability(
     return Observability(
         tracer=tracer,
         metrics=metrics if metrics is not None else MetricsRegistry(),
-        profiler=profiler if profiler is not None else StageProfiler(),
         metrics_path=metrics_path,
         metrics_format=metrics_format,
         _owned_sink=owned_sink,

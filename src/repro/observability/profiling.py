@@ -1,9 +1,5 @@
-"""Profiling hooks: per-stage wall-time accumulation and peak-RSS sampling.
+"""Peak-RSS sampling.
 
-The :class:`StageProfiler` is the cheap always-on half of observability:
-a dict of running aggregates per stage name, fed by the
-:class:`~repro.observability.hooks.Observability` span context manager, so
-asking "where did the step time go" costs a few float adds per stage.
 :func:`peak_rss_bytes` reads the process's high-water resident set from
 ``getrusage`` — no psutil dependency; returns ``None`` where the platform
 does not report it.
@@ -12,10 +8,6 @@ does not report it.
 from __future__ import annotations
 
 import sys
-import threading
-import time
-from contextlib import contextmanager
-from typing import Iterator
 
 
 def peak_rss_bytes() -> int | None:
@@ -35,63 +27,3 @@ def peak_rss_bytes() -> int | None:
     if sys.platform == "darwin":  # pragma: no cover - macOS reports bytes
         return int(peak)
     return int(peak) * 1024
-
-
-class _StageAggregate:
-    __slots__ = ("count", "total", "maximum")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.maximum = 0.0
-
-    def record(self, seconds: float) -> None:
-        self.count += 1
-        self.total += seconds
-        self.maximum = max(self.maximum, seconds)
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "count": self.count,
-            "total_seconds": self.total,
-            "mean_seconds": self.total / self.count if self.count else 0.0,
-            "max_seconds": self.maximum,
-        }
-
-
-class StageProfiler:
-    """Thread-safe per-stage wall-time aggregates (count/total/mean/max)."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._stages: dict[str, _StageAggregate] = {}
-
-    def record(self, stage: str, seconds: float) -> None:
-        """Add one observation of ``stage`` taking ``seconds``."""
-        with self._lock:
-            aggregate = self._stages.get(stage)
-            if aggregate is None:
-                aggregate = self._stages[stage] = _StageAggregate()
-            aggregate.record(float(seconds))
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        """Time a ``with`` block as one observation of ``name``."""
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.record(name, time.perf_counter() - started)
-
-    def total_seconds(self, stage: str) -> float:
-        with self._lock:
-            aggregate = self._stages.get(stage)
-            return aggregate.total if aggregate else 0.0
-
-    def summary(self) -> dict[str, dict[str, float]]:
-        """``{stage: {count, total_seconds, mean_seconds, max_seconds}}``."""
-        with self._lock:
-            return {
-                name: aggregate.as_dict()
-                for name, aggregate in sorted(self._stages.items())
-            }

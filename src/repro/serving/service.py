@@ -76,7 +76,7 @@ class RecommendService:
         observability: optional bundle; its registry backs the
             auto-created :class:`MetricsObserver` (one scrape covers every
             layer) and ``serving.request`` / ``serving.batch`` spans are
-            recorded into its tracer/profiler.
+            recorded into its tracer.
         include_counts: opt in to per-POI recommendation counters in the
             metrics output. Derived from live traffic, NOT covered by the
             DP guarantee; off by default (see ``docs/serving.md``).

@@ -7,7 +7,6 @@ import pytest
 
 from repro.exceptions import ConfigError
 from repro.models.skipgram import BIAS, CONTEXT, EMBEDDING, SkipGramModel
-from repro.nn.parameters import ParameterSet
 
 
 @pytest.fixture()

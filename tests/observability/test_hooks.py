@@ -1,41 +1,19 @@
-"""The Observability bundle, profiling hooks, and deprecated aliases."""
+"""The Observability bundle, the peak-RSS sampler, and the unified Observer."""
 
 import json
 import warnings
-
-import pytest
 
 from repro.observability import (
     MetricsRegistry,
     Observability,
     Observer,
-    StageProfiler,
     Tracer,
     peak_rss_bytes,
     with_observability,
 )
 
 
-class TestStageProfiler:
-    def test_record_and_summary(self):
-        profiler = StageProfiler()
-        profiler.record("sample", 0.1)
-        profiler.record("sample", 0.3)
-        profiler.record("noise", 0.2)
-        summary = profiler.summary()
-        assert summary["sample"]["count"] == 2
-        assert summary["sample"]["total_seconds"] == pytest.approx(0.4)
-        assert summary["sample"]["mean_seconds"] == pytest.approx(0.2)
-        assert summary["sample"]["max_seconds"] == pytest.approx(0.3)
-        assert profiler.total_seconds("noise") == pytest.approx(0.2)
-        assert profiler.total_seconds("missing") == 0.0
-
-    def test_stage_context_times_block(self):
-        profiler = StageProfiler()
-        with profiler.stage("work"):
-            pass
-        assert profiler.summary()["work"]["count"] == 1
-
+class TestPeakRss:
     def test_peak_rss_is_positive_when_reported(self):
         rss = peak_rss_bytes()
         assert rss is None or rss > 1024 * 1024  # at least a megabyte
@@ -46,7 +24,6 @@ class TestWithObservability:
         obs = with_observability()
         assert isinstance(obs.tracer, Tracer)
         assert isinstance(obs.metrics, MetricsRegistry)
-        assert isinstance(obs.profiler, StageProfiler)
 
     def test_span_feeds_tracer_and_profiler(self):
         obs = with_observability()
@@ -54,14 +31,12 @@ class TestWithObservability:
             pass
         assert span.attributes == {"step": 1}
         assert obs.tracer.spans_named("region")
-        assert obs.profiler.summary()["region"]["count"] == 1
 
     def test_span_degrades_without_tracer(self):
-        profiler = StageProfiler()
-        obs = Observability(profiler=profiler)
+        obs = Observability(metrics=MetricsRegistry())
         with obs.span("region") as span:
             assert span is None
-        assert profiler.summary()["region"]["count"] == 1
+        obs.record_span("batch", 0.5)  # no tracer: nothing to record into
         with Observability().span("region") as span:
             assert span is None  # full no-op
 
@@ -70,7 +45,6 @@ class TestWithObservability:
         obs.record_span("batch", 0.5, batch_size=4)
         (span,) = obs.tracer.spans_named("batch")
         assert span.duration_seconds == 0.5
-        assert obs.profiler.total_seconds("batch") == 0.5
 
     def test_trace_jsonl_streams_and_close_flushes(self, tmp_path):
         path = tmp_path / "trace.jsonl"

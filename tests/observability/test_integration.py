@@ -76,12 +76,6 @@ class TestEngineSpans:
         assert metrics.histogram("repro_engine_bucket_seconds").count() > 0
         assert metrics.gauge("repro_engine_epsilon_spent").value() > 0
 
-    def test_profiler_covers_every_stage(self, traced_run):
-        obs, _, history = traced_run
-        summary = obs.profiler.summary()
-        for stage in STAGE_NAMES:
-            assert summary[f"engine.stage.{stage}"]["count"] == len(history)
-
 
 class TestBudgetPreviewBilling:
     def test_slow_budget_preview_is_billed_to_account(self, split_dataset, monkeypatch):

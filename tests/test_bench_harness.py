@@ -12,7 +12,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from benchmarks.conftest import (  # noqa: E402
     BENCH_BASE,
     SCALES,
-    BenchScale,
     bench_scale,
     write_table,
 )

@@ -82,6 +82,40 @@ class TestQuickRun:
                 )
 
 
+class TestStageSeconds:
+    def test_budget_preview_is_billed_to_account(self, split_dataset, monkeypatch):
+        """The bench's stage breakdown is the engine's stage histogram, so
+        a slow ledger preview shows up under ``account``, not ``apply``."""
+        import time
+
+        import repro
+        from repro.bench import _stage_seconds
+        from repro.core.engine.stages import StepPipeline
+
+        delay = 0.05
+        preview = StepPipeline.budget_would_cross
+
+        def slow_preview(self, sigma):
+            time.sleep(delay)
+            return preview(self, sigma)
+
+        monkeypatch.setattr(StepPipeline, "budget_would_cross", slow_preview)
+        train, _ = split_dataset
+        obs = repro.with_observability()
+        config = repro.PLPConfig(
+            embedding_dim=8, num_negatives=4, sampling_probability=0.2,
+            epsilon=50.0, grouping_factor=3, max_steps=3,
+        )
+        model = repro.train(config, train, rng=11, with_observability=obs)
+        steps = len(model.history)
+        stages = _stage_seconds(obs.metrics)
+        assert set(stages) == set(STAGE_NAMES)
+        assert stages["account"]["total_seconds"] >= delay * steps
+        assert stages["apply"]["total_seconds"] < delay
+        for aggregate in stages.values():
+            assert aggregate["count"] == steps
+
+
 _DELETE = object()
 
 #: One case per row of the validator's rule table: ``(name, dotted path,
