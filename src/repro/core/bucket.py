@@ -101,12 +101,6 @@ class BucketUpdate:
             dense[name] = tensor
         return dense
 
-    def add_into(self, accumulators: dict[str, np.ndarray]) -> None:
-        """Scatter-add the clipped delta into dense accumulator tensors."""
-        for name, rows in self.rows.items():
-            if rows.size:
-                accumulators[name][rows] += self.values[name]
-
 
 def build_bucket_batches(
     model: SkipGramModel,

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from repro.exceptions import ConfigError
 
@@ -51,7 +50,9 @@ def paired_t_test(
         raise ConfigError(f"paired samples must match in length: {a.shape} vs {b.shape}")
     if a.size < 2:
         raise ConfigError("paired t-test needs at least two pairs")
-    statistic, p_value = stats.ttest_rel(a, b)
+    from scipy.stats import ttest_rel
+
+    statistic, p_value = ttest_rel(a, b)
     return PairedTestResult(
         statistic=float(statistic),
         p_value=float(p_value),

@@ -58,6 +58,7 @@ from repro.experiments.runner import (
 )
 from repro.observability.hooks import Observability
 from repro.observability.metrics import MetricsRegistry
+from repro.privacy.accountant.rdp import load_special_functions
 from repro.rng import derive
 
 #: Version of the ``sweep.json`` manifest layout.
@@ -527,9 +528,13 @@ def _init_sweep_worker(
     Also caps the worker's BLAS threads at its share of the cores, as
     the sharded executor's workers do: forked workers inherit the
     coordinator's one-thread-per-core OpenBLAS and would oversubscribe
-    the host. The cap never raises the inherited count.
+    the host. The cap never raises the inherited count. SciPy brings its
+    own OpenBLAS, mapped when ``scipy.special`` loads; every run builds a
+    privacy ledger, which loads it, so it is loaded here first and the
+    cap covers it too.
     """
     global _WORKER_STATE, _FAULT_MARKER
+    load_special_functions()
     limit_blas_threads(available_cores() // max_workers)
     _WORKER_STATE = _WorkerState.from_payload(payload)
     _FAULT_MARKER = fault_marker

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import special
-
 from repro.exceptions import ConfigError
 from repro.rng import RngLike, ensure_rng
 
@@ -40,10 +38,12 @@ class PlanarLaplaceMechanism:
 
     def sample_radius(self, rng: RngLike = None) -> float:
         """Draw the noise radius (meters) via the inverse-CDF Lambert-W form."""
+        from scipy.special import lambertw
+
         generator = ensure_rng(rng)
         p = generator.random()
         # C(r) = 1 - (1 + eps*r) * exp(-eps*r); invert with W_{-1}.
-        w = special.lambertw((p - 1.0) / math.e, k=-1).real
+        w = lambertw((p - 1.0) / math.e, k=-1).real
         return -(1.0 / self.epsilon) * (w + 1.0)
 
     def perturb_xy(

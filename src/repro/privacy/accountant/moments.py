@@ -21,6 +21,7 @@ from repro.exceptions import ConfigError
 from repro.privacy.accountant.rdp import (
     DEFAULT_RDP_ORDERS,
     compute_rdp_sampled_gaussian,
+    load_special_functions,
     rdp_to_epsilon,
 )
 
@@ -48,6 +49,9 @@ class MomentsAccountant:
         # Cache per-(sigma, q) single-step curves: training reuses one setting
         # for thousands of steps and recomputing the series each time is waste.
         self._curve_cache: dict[tuple[float, float], np.ndarray] = {}
+        # Built with the privacy ledger, before step 1: the one-off SciPy
+        # import is billed to no step's budget check.
+        load_special_functions()
 
     @property
     def orders(self) -> np.ndarray:

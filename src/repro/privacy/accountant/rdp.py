@@ -16,15 +16,19 @@ moments accountant in TF-Privacy and Opacus:
 
 RDP composes additively across steps, which is what makes the accountant
 tight: ``RDP(k steps) = k * RDP(1 step)`` order-by-order.
+
+The series take their special functions from :mod:`scipy.special`, bound
+once per order inside the function that runs it, so importing this module
+(and ``repro``, and the serving stack) loads no SciPy.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import special
 
 from repro.exceptions import ConfigError
 
@@ -37,6 +41,16 @@ DEFAULT_RDP_ORDERS: tuple[float, ...] = tuple(
 
 _LOG_SERIES_CUTOFF = -40.0  # stop the fractional series once terms are ~e-40
 _LOG_HALF = math.log(0.5)
+
+
+def load_special_functions() -> None:
+    """Import :mod:`scipy.special`, which the series below use.
+
+    A one-off cost of about 0.1 s per process. Callers that time training
+    or cap a worker's BLAS threads call this first, so the import (and
+    the OpenBLAS that SciPy maps with it) happens before, not inside.
+    """
+    importlib.import_module("scipy.special")
 
 
 def _log_add(log_a: float, log_b: float) -> float:
@@ -59,16 +73,14 @@ def _log_sub(log_a: float, log_b: float) -> float:
     return log_a + math.log1p(-math.exp(log_b - log_a))
 
 
-def _log_erfc(x):
-    """Stable ``log(erfc(x))`` valid far into both tails (elementwise)."""
-    return math.log(2.0) + special.log_ndtr(-x * math.sqrt(2.0))
+def _log_erfc(
+    x: np.ndarray, log_ndtr: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """Stable ``log(erfc(x))`` valid far into both tails (elementwise).
 
-
-def _log_comb(n: int, k: int) -> float:
-    """``log(binomial(n, k))`` via log-gamma."""
-    return (
-        special.gammaln(n + 1) - special.gammaln(k + 1) - special.gammaln(n - k + 1)
-    )
+    ``log_ndtr`` is :func:`scipy.special.log_ndtr`, bound by the caller.
+    """
+    return math.log(2.0) + log_ndtr(-x * math.sqrt(2.0))
 
 
 def _compute_log_a_int(q: float, sigma: float, alpha: int) -> float:
@@ -76,14 +88,20 @@ def _compute_log_a_int(q: float, sigma: float, alpha: int) -> float:
 
     ``A_alpha = sum_{i=0}^{alpha} C(alpha, i) (1-q)^{alpha-i} q^i
     exp((i^2 - i) / (2 sigma^2))`` (Mironov et al. 2019, Corollary 11 /
-    TF-Privacy ``_compute_log_a_int``).
+    TF-Privacy ``_compute_log_a_int``), with ``log C(alpha, i)`` taken
+    from log-gamma.
     """
+    from scipy.special import gammaln
+
     log_a = -math.inf
     log_q = math.log(q)
     log_1mq = math.log1p(-q)
+    log_gamma_alpha = gammaln(alpha + 1)
     for i in range(alpha + 1):
         log_term = (
-            _log_comb(alpha, i)
+            log_gamma_alpha
+            - gammaln(i + 1)
+            - gammaln(alpha - i + 1)
             + i * log_q
             + (alpha - i) * log_1mq
             + (i * i - i) / (2.0 * sigma**2)
@@ -106,6 +124,8 @@ def _compute_log_a_frac(q: float, sigma: float, alpha: float) -> float:
     running log-sum, whose order fixes the result's bits, is folded one
     term at a time.
     """
+    from scipy.special import binom, log_ndtr
+
     log_a0 = -math.inf  # first series (mass to the left of z0)
     log_a1 = -math.inf  # second series (mass to the right of z0)
     z0 = sigma**2 * math.log(1.0 / q - 1.0) + 0.5
@@ -121,15 +141,15 @@ def _compute_log_a_frac(q: float, sigma: float, alpha: float) -> float:
         i = np.arange(start, start + size, dtype=np.int64)
         # Python-float semantics: inf - inf is a silent NaN, as in scalars.
         with np.errstate(all="ignore"):
-            coef = special.binom(alpha, i)
+            coef = binom(alpha, i)
             log_coef = np.array(
                 [math.log(abs(c)) if c != 0.0 else -math.inf for c in coef.tolist()]
             )
             j = alpha - i
             log_t0 = log_coef + i * log_q + j * log_1mq
             log_t1 = log_coef + j * log_q + i * log_1mq
-            log_e0 = _LOG_HALF + _log_erfc((i - z0) / sqrt2sigma)
-            log_e1 = _LOG_HALF + _log_erfc((z0 - j) / sqrt2sigma)
+            log_e0 = _LOG_HALF + _log_erfc((i - z0) / sqrt2sigma, log_ndtr)
+            log_e1 = _LOG_HALF + _log_erfc((z0 - j) / sqrt2sigma, log_ndtr)
             log_s0 = log_t0 + (i * i - i) / two_sigma_sq + log_e0
             log_s1 = log_t1 + (j * j - j) / two_sigma_sq + log_e1
             # Stop before a zero coefficient past alpha, or after a term

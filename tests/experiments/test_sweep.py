@@ -11,10 +11,15 @@ kill), failed-run handling, aggregation schema, and the
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.engine.blas import available_cores, blas_threads
 from repro.exceptions import ConfigError
 from repro.experiments import (
@@ -307,6 +312,60 @@ class TestSweepWorkerBlasCap:
             counts = [pool.submit(blas_threads).result() for _ in range(4)]
         assert all(count <= min(share, parent) for count in counts), counts
         assert blas_threads() == parent
+
+    @pytest.mark.skipif(
+        available_cores() < 2, reason="one core: every share is the default width"
+    )
+    def test_worker_caps_blas_loaded_by_its_first_run(self, spec):
+        # A fresh coordinator that has not loaded SciPy, and no thread-count
+        # variables, so a library loaded after the cap would start one
+        # thread per core; the worker's share is one thread.
+        env = {
+            key: value
+            for key, value in os.environ.items()
+            if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+        }
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", _PROBE_AFTER_RUN, json.dumps(spec.as_dict())],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        probe = json.loads(result.stdout.splitlines()[-1])
+        assert not probe["coordinator_scipy"]
+        assert probe["worker_scipy"]
+        assert probe["worker_threads"] == 1, probe
+
+
+_PROBE_AFTER_RUN = """
+import json, sys
+from concurrent.futures import ProcessPoolExecutor
+from repro.core.engine.blas import available_cores, blas_threads
+from repro.experiments import GridSpec, expand_spec
+from repro.experiments import sweep
+
+def probe():
+    return blas_threads(), "scipy.special" in sys.modules
+
+payload = json.loads(sys.argv[1])
+run = expand_spec(GridSpec.from_dict(payload))[0]
+with ProcessPoolExecutor(
+    max_workers=1,
+    initializer=sweep._init_sweep_worker,
+    initargs=(payload, None, available_cores()),
+) as pool:
+    pool.submit(
+        sweep._sweep_job, run.run_id, run.index, dict(run.overrides),
+        run.method, run.seed_index,
+    ).result()
+    threads, loaded = pool.submit(probe).result()
+print(json.dumps({
+    "coordinator_scipy": "scipy" in sys.modules,
+    "worker_scipy": loaded,
+    "worker_threads": threads,
+}))
+"""
 
 
 class TestFailedRuns:

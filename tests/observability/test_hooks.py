@@ -73,7 +73,7 @@ class TestWithObservability:
         assert obs.metrics is registry
 
 
-class TestDeprecatedAliases:
+class TestObserverSubclassing:
     def test_unified_observer_is_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -147,6 +147,18 @@ class TestCalibration:
         assert compute_epsilon(q, sigma, steps, delta) < budget
         assert compute_epsilon(q, sigma, steps + 1, delta) >= budget
 
+    @pytest.mark.parametrize("steps", [10, 1000])
+    @pytest.mark.parametrize("q", [0.01, 0.2])
+    @pytest.mark.parametrize("target", [0.5, 4.0])
+    def test_calibration_and_step_count_are_inverses(self, target, q, steps):
+        delta, tolerance = 2e-4, 1e-3
+        sigma = calibrate_noise_multiplier(target, delta, q, steps, tolerance=tolerance)
+        # Calibration allows epsilon <= target; the step count stops at the
+        # first step whose epsilon reaches the budget.
+        assert max_steps_for_budget(target, delta, q, sigma) >= steps - 1
+        # Any sigma a tolerance smaller overshoots the target within the steps.
+        assert max_steps_for_budget(target, delta, q, sigma - tolerance) < steps
+
     def test_max_steps_zero_when_one_step_exceeds(self):
         # Tiny noise: even one step blows a small budget.
         assert max_steps_for_budget(0.01, 1e-5, 0.5, 0.1) == 0
