@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from pathlib import Path
 from typing import Sequence
 
@@ -141,11 +140,10 @@ def _build_parser() -> argparse.ArgumentParser:
     train.add_argument("--max-steps", type=int, default=suppress)
     train.add_argument(
         "--backend",
-        choices=("reference", "fast", "numba"),
+        choices=("reference", "fast"),
         default=suppress,
         help="compute kernel backend: reference (exact float64) or fast "
-        "(float32 fused kernels, same privacy accounting); numba is a "
-        "deprecated spelling of fast",
+        "(float32 fused kernels, same privacy accounting)",
     )
     train.add_argument("--epochs", type=int, default=5, help="non-private epochs")
     train.add_argument("--seed", type=int, default=7)
@@ -745,19 +743,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    with warnings.catch_warnings():
-        # Python's default filters show DeprecationWarning only for
-        # __main__; a CLI user must still hear that a spelling they typed
-        # (say ``--backend numba``) is deprecated. Scoped to the command,
-        # so an in-process caller's own filters come back afterwards.
-        warnings.filterwarnings(
-            "default", category=DeprecationWarning, module=r"repro(\.|$)"
-        )
-        try:
-            return _COMMANDS[args.command](args)
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
+    try:
+        return _COMMANDS[args.command](args)
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -21,8 +21,8 @@ is known before the backend runs. Backends exploit that by compiling the
 bucket once: the reference backend gathers the bucket's whole read set
 from ``theta`` into compact float64 copies and precomputes every batch's
 row-scatter plan in one vectorized pass (see
-:mod:`repro.nn.backends.reference`); the fast backends build their
-compact float32 plans the same way. ``theta`` is never written, so the
+:mod:`repro.nn.backends.reference`); the fast backend compiles a whole
+chunk of buckets into one compact float32 schedule the same way. ``theta`` is never written, so the
 function is safe to run concurrently against one shared snapshot (thread
 workers) or a pickled copy (process workers), and an exception
 mid-bucket cannot corrupt the global model. The per-bucket cost stays

@@ -18,7 +18,7 @@ _CLIPPING_MODES = ("per_layer", "global")
 _SERVER_OPTIMIZERS = ("additive", "adam")
 _LOSSES = ("sampled_softmax", "negative_sampling", "nce")
 _LOCAL_UPDATES = ("sgd", "gradient")
-_BACKENDS = ("reference", "fast", "numba")
+_BACKENDS = ("reference", "fast")
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,8 +72,7 @@ class PLPConfig:
         backend: compute kernel backend for local training —
             ``"reference"`` (exact float64, bit-stable results),
             ``"fast"`` (float32 fused kernels, same privacy accounting,
-            embeddings within float32 tolerance); ``"numba"`` is a
-            deprecated spelling of ``"fast"``. Swapping backends never
+            embeddings within float32 tolerance). Swapping backends never
             changes the privacy ledger (see ``docs/kernels.md``).
     """
 

@@ -9,16 +9,12 @@ Selection is by name through :func:`get_backend` (the same names
   precomputed sigmoid table. Same ledger bits, embeddings within float32
   tolerance of the reference.
 
-``"numba"`` is a deprecated spelling of ``"fast"`` (see
-:mod:`repro._compat`).
-
 Instances are stateless singletons, so handing one to a process-pool
 worker pickles a class reference, nothing more.
 """
 
 from __future__ import annotations
 
-from repro._compat import register_deprecation, warn_deprecated
 from repro.exceptions import ConfigError
 from repro.nn.backends.base import (
     BIAS,
@@ -55,8 +51,6 @@ __all__ = [
 #: Every backend name :func:`get_backend` builds.
 BACKEND_NAMES = ("reference", "fast")
 
-register_deprecation('backend="numba"', 'backend="fast"')
-
 _instances: dict[str, KernelBackend] = {}
 
 
@@ -64,16 +58,8 @@ def get_backend(name: str) -> KernelBackend:
     """The cached backend instance for ``name``.
 
     Raises:
-        ConfigError: for a name outside :data:`BACKEND_NAMES` (other than
-            the deprecated ``"numba"``).
-
-    Warns:
-        DeprecationWarning: for ``"numba"``, which returns the fast
-            backend.
+        ConfigError: for a name outside :data:`BACKEND_NAMES`.
     """
-    if name == "numba":
-        warn_deprecated('backend="numba"', 'backend="fast"')
-        name = "fast"
     if name not in BACKEND_NAMES:
         raise ConfigError(
             f"unknown backend {name!r}; expected one of {BACKEND_NAMES}"

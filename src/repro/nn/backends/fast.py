@@ -6,28 +6,34 @@ Five ideas, all classic word2vec-at-scale techniques:
    named by its (pre-drawn) targets, contexts, and negatives. The union of
    touched rows is computed once, gathered into one stacked float32 compact
    matrix (embedding rows first, context rows after), and every batch runs
-   in the remapped compact index space (``np.searchsorted`` against the
-   sorted row universe).
+   in the remapped compact index space.
 2. **Bias-as-a-column.** The compact matrix carries one extra column:
    context rows store their bias there, target rows store a constant 1.
    ``W_t . Wc_c + b_c`` is then a plain ``dim + 1`` dot product, and the
    gradient w.r.t. a context row's extended vector *is* its ``(Wc, b)``
    update — biases ride along in every GEMM and scatter for free.
 3. **Precomputed scatter plans.** The row-scatter pattern of every batch is
-   known before any math runs. The plan sorts the scatter destinations of
-   *all* batches with one flat ``argsort`` and compiles, per batch, a tiny
-   one-hot *merge matrix* that sums duplicate-destination updates with a
-   single small GEMM — the hot loop then updates the compact matrix with
-   one fancy-index add per batch and never sorts, masks, or allocates.
+   known before any math runs. One flat stable sort over the scatter
+   destinations of *all* batches yields, per batch, its destination rows
+   and the entry order that groups duplicates. Rows hit once (nearly all)
+   are applied with one ``take`` and one fancy-index add; the rare
+   duplicates are summed first with ``take`` + ``np.add.reduceat``, which
+   adds every segment sequentially in entry order. The hot loop never
+   sorts, masks, or searches.
 4. **float32 accumulation.** The compact working copies are float32; the
    delta (``work - theta``) is promoted back to float64 *before* clipping,
    so the sensitivity bound, aggregation, and noise stay at reference
    precision (see :mod:`repro.nn.backends.base`).
 5. **Sigmoid lookup table.** The sigmoid-based losses use the precomputed
    :class:`~repro.nn.functional.SigmoidTable` instead of per-element
-   ``exp`` (the sampled-softmax default needs no sigmoid and is inlined
-   directly into the chunk-batched step, :func:`_grouped_step`, which
-   runs every paper-default bucket, alone or in a chunk).
+   ``exp`` (sampled softmax needs no sigmoid).
+
+One path runs every bucket. :func:`_compile_chunk` compiles a chunk of
+buckets (a single bucket is a chunk of one) into groups of same-shape
+local steps, :func:`_execute_chunk` runs each group as batched math with
+the loss from one :data:`~repro.nn.losses.LossKernel` — every loss, shared
+or per-pair negatives — and :func:`_finalize_chunk` promotes and clips
+each bucket's delta.
 
 The backend instance itself is stateless (lookup table and loss kernels
 are lazily-built module-level caches), so it pickles cheaply into process
@@ -52,13 +58,11 @@ from repro.nn.backends.base import (
     empty_bucket_delta,
 )
 from repro.nn.backends.reference import ReferenceBackend
-from repro.nn.functional import SigmoidTable, stable_argsort, unique_sorted
+from repro.nn.functional import SigmoidTable, stable_argsort
 from repro.nn.losses import LossKernel, make_loss_kernel
 
 _sigmoid_table: SigmoidTable | None = None
 _loss_kernels: dict[tuple[str, int], LossKernel] = {}
-
-_TINY32 = np.finfo(np.float32).tiny
 
 
 def sigmoid_table() -> SigmoidTable:
@@ -103,202 +107,6 @@ def _unique_inverse(keys: np.ndarray, key_bound: int) -> tuple[np.ndarray, np.nd
     return ordered[first], inverse
 
 
-class _BucketPlan:
-    """A bucket's batches compiled into compact arrays + scatter plans.
-
-    Layout: ``P`` stacks the embedding rows (``P[:num_emb]``, the compact
-    ``W``) on top of the context rows (``P[num_emb:]``, the compact ``Wc``),
-    with one extra trailing column holding the bias for context rows and a
-    constant 1 for target rows (idea 2 of the module docstring). ``bias``
-    is the live view of the context rows' bias column.
-
-    Every batch's update block is laid out ``[d_target | d_context |
-    d_negative]`` (``m = 2n + k`` rows of width ``dim + 1``). Duplicate
-    destinations inside a block are merged ahead of time: one flat stable
-    sort over all batches' destination rows yields, per batch, the unique
-    destination rows plus a (scatter order, segment starts) pair that
-    merges duplicates with one ``take`` + ``np.add.reduceat``, which sums
-    every segment sequentially over that entry order. The plan runs the
-    losses other than sampled softmax, and per-pair negatives;
-    :func:`_compile_chunk` builds the same schedule for the paper default.
-
-    Target rows keep their constant-1 trailing column by construction:
-    the step runners zero the trailing column of the ``d_target`` part of
-    the update block before it is merged, so every value that could land
-    on a target row's ones column is an exact ``0.0``.
-
-    ``steps`` holds one tuple per batch::
-
-        (shared, n, row_block, scatter_order, segment_starts,
-         segment_rows)
-
-    where ``row_block`` is the batch's ``[targets | contexts | negatives]``
-    destination rows in ``P`` as one contiguous ``(m,)`` array
-    (context/negative rows already offset by ``num_emb``).
-    """
-
-    __slots__ = (
-        "emb_rows",
-        "ctx_rows",
-        "num_emb",
-        "P",
-        "bias",
-        "steps",
-        "_h",
-        "_c",
-        "_n",
-        "_wk",
-        "_lg",
-        "_vals",
-        "_seg",
-    )
-
-    def __init__(
-        self,
-        theta,
-        batches: Sequence[BucketBatch],
-        dtype: type = np.float32,
-    ) -> None:
-        # Union of touched rows, then one vectorized remap of every batch's
-        # indices into compact space (split back out by batch offsets).
-        all_targets = np.concatenate([batch.targets for batch in batches])
-        all_candidates = np.concatenate(
-            [batch.contexts for batch in batches]
-            + [batch.negatives.ravel() for batch in batches]
-        )
-        self.emb_rows = unique_sorted(all_targets)
-        self.ctx_rows = unique_sorted(all_candidates)
-        num_emb = int(self.emb_rows.size)
-        self.num_emb = num_emb
-        num_rows = num_emb + int(self.ctx_rows.size)
-        dim = int(theta[EMBEDDING].shape[1])
-
-        self.P = np.empty((num_rows, dim + 1), dtype=dtype)
-        self.P[:num_emb, :dim] = theta[EMBEDDING][self.emb_rows]
-        self.P[:num_emb, dim] = 1.0
-        self.P[num_emb:, :dim] = theta[CONTEXT][self.ctx_rows]
-        self.P[num_emb:, dim] = theta[BIAS][self.ctx_rows]
-        self.bias = self.P[num_emb:, dim]
-
-        target_local = np.searchsorted(self.emb_rows, all_targets)
-        candidate_stacked = np.searchsorted(self.ctx_rows, all_candidates)
-        candidate_stacked += num_emb
-        num_pairs = int(all_targets.size)
-        ctx_stacked = candidate_stacked[:num_pairs]
-        neg_stacked = candidate_stacked[num_pairs:]
-
-        num_batches = len(batches)
-        sizes = np.array([batch.targets.size for batch in batches], dtype=np.int64)
-        neg_sizes = np.array(
-            [batch.negatives.size for batch in batches], dtype=np.int64
-        )
-        block_sizes = 2 * sizes + neg_sizes
-        block_off = np.zeros(num_batches + 1, dtype=np.int64)
-        np.cumsum(block_sizes, out=block_off[1:])
-
-        # Flat destination-row array laid out [targets | contexts |
-        # negatives] per batch, context/negative rows offset into P.
-        scatter_parts: list[np.ndarray] = []
-        pair_at = neg_at = 0
-        for index in range(num_batches):
-            n = int(sizes[index])
-            k = int(neg_sizes[index])
-            scatter_parts.append(target_local[pair_at : pair_at + n])
-            scatter_parts.append(ctx_stacked[pair_at : pair_at + n])
-            scatter_parts.append(neg_stacked[neg_at : neg_at + k])
-            pair_at += n
-            neg_at += k
-        scatter_idx = np.concatenate(scatter_parts)
-
-        # One flat stable sort builds every batch's duplicate-merging plan:
-        # offset each batch's rows into a disjoint range, sort once, and
-        # read per-batch segment structure back out by slice.
-        repeat_off = np.repeat(block_off[:-1], block_sizes)
-        flat = scatter_idx + np.repeat(
-            np.arange(num_batches, dtype=np.int64) * num_rows, block_sizes
-        )
-        order = stable_argsort(flat, num_batches * num_rows)
-        sorted_flat = flat[order]
-        starts = np.concatenate(
-            ([0], np.flatnonzero(sorted_flat[1:] != sorted_flat[:-1]) + 1)
-        )
-        seg_flat = sorted_flat[starts]
-        seg_batch = seg_flat // num_rows
-        seg_rows_all = seg_flat - seg_batch * num_rows
-        seg_bounds = np.searchsorted(
-            seg_batch, np.arange(num_batches + 1, dtype=np.int64)
-        )
-        order_local = order - repeat_off
-        starts_local = starts - block_off[seg_batch]
-
-        sizes_list = sizes.tolist()
-        neg_sizes_list = neg_sizes.tolist()
-        block_off_list = block_off.tolist()
-        seg_bounds_list = seg_bounds.tolist()
-        self.steps: list[tuple] = []
-        for index, batch in enumerate(batches):
-            n = sizes_list[index]
-            k = neg_sizes_list[index]
-            a = block_off_list[index]
-            m = 2 * n + k
-            s0, s1 = seg_bounds_list[index], seg_bounds_list[index + 1]
-            step = (
-                batch.shared,
-                n,
-                scatter_idx[a : a + m],
-                order_local[a : a + m],
-                starts_local[s0:s1],
-                seg_rows_all[s0:s1],
-            )
-            self.steps.append(step)
-
-        # Scratch buffers reused by every shared-negative batch step (the
-        # per-pair path allocates per batch; it is not the paper default).
-        shared_dims = [
-            (step[1], step[2].size - 2 * step[1])
-            for step in self.steps
-            if step[0]
-        ]
-        if shared_dims:
-            width = dim + 1
-            n_max = max(n for n, _ in shared_dims)
-            k_max = max(k for _, k in shared_dims)
-            rows_max = 2 * n_max + k_max
-            self._h = np.empty((n_max, width), dtype=dtype)
-            self._c = np.empty((n_max, width), dtype=dtype)
-            self._n = np.empty((k_max, width), dtype=dtype)
-            self._wk = np.empty((n_max, width), dtype=dtype)
-            self._lg = np.empty((1 + k_max, n_max), dtype=dtype)
-            self._vals = np.empty((rows_max, width), dtype=dtype)
-            self._seg = np.empty((rows_max, width), dtype=dtype)
-
-    def collect_delta(self, theta) -> tuple[dict, dict]:
-        """Rows + float64 ``work - theta`` values for the touched universe."""
-        num_emb = self.num_emb
-        dim = self.P.shape[1] - 1
-        rows = {
-            EMBEDDING: self.emb_rows,
-            CONTEXT: self.ctx_rows,
-            BIAS: self.ctx_rows.copy(),
-        }
-        values = {
-            EMBEDDING: np.subtract(
-                self.P[:num_emb, :dim],
-                theta[EMBEDDING][self.emb_rows],
-                dtype=np.float64,
-            ),
-            CONTEXT: np.subtract(
-                self.P[num_emb:, :dim],
-                theta[CONTEXT][self.ctx_rows],
-                dtype=np.float64,
-            ),
-            BIAS: np.subtract(
-                self.bias, theta[BIAS][self.ctx_rows], dtype=np.float64
-            ),
-        }
-        return rows, values
-
-
 class FastBackend(ReferenceBackend):
     """Compact float32 fused kernels; non-fused entry points stay exact.
 
@@ -316,17 +124,8 @@ class FastBackend(ReferenceBackend):
         batches: Sequence[BucketBatch],
         spec: LocalUpdateSpec,
     ) -> BucketDelta:
-        if not batches:
-            return empty_bucket_delta(theta)
-        if _chunk_eligible([batches], spec):
-            return self.fused_multi_bucket_update(theta, [batches], spec)[0]
-        plan = _BucketPlan(theta, batches, dtype=self.accumulation_dtype)
-        kernel = _loss_kernel(spec.loss_name, spec.num_locations)
-        loss_total = 0.0
-        for step in plan.steps:
-            run_step = _shared_step if step[0] else _per_pair_step
-            loss_total += run_step(plan, step, spec, kernel)
-        return _finalize(plan, theta, spec, loss_total, len(batches))
+        """A chunk of one (see :meth:`fused_multi_bucket_update`)."""
+        return self.fused_multi_bucket_update(theta, [batches], spec)[0]
 
     def fused_multi_bucket_update(
         self,
@@ -343,18 +142,9 @@ class FastBackend(ReferenceBackend):
         per-batch kernels over the whole chunk. Same-shape steps are
         grouped so each GEMM slice has chunk-independent dimensions,
         keeping the result identical however the executor chunks buckets
-        across workers.
-
-        Only the paper-default configuration (sampled softmax, shared
-        negatives) takes this path, for a single bucket too; anything
-        else runs :meth:`fused_bucket_update`'s :class:`_BucketPlan` per
-        bucket.
+        across workers. Every loss and both negative layouts run here; a
+        single bucket is a chunk of one.
         """
-        if not _chunk_eligible(bucket_batches, spec):
-            return [
-                self.fused_bucket_update(theta, batches, spec)
-                for batches in bucket_batches
-            ]
         results: list[BucketDelta | None] = [
             None if batches else empty_bucket_delta(theta)
             for batches in bucket_batches
@@ -383,146 +173,18 @@ class FastBackend(ReferenceBackend):
         return results  # type: ignore[return-value]
 
 
-def _chunk_eligible(
-    bucket_batches: Sequence[Sequence[BucketBatch]], spec: LocalUpdateSpec
-) -> bool:
-    """Whether the chunk-batched path runs these buckets: sampled softmax
-    with shared negatives in every batch (the paper default)."""
-    return spec.loss_name == "sampled_softmax" and all(
-        batch.shared for batches in bucket_batches for batch in batches
-    )
-
-
-def _finalize(
-    plan: _BucketPlan,
-    theta,
-    spec: LocalUpdateSpec,
-    loss_total: float,
-    num_batches: int,
-) -> BucketDelta:
-    """Promote to float64, clip, and wrap the plan's result as a delta."""
-    rows, values = plan.collect_delta(theta)
-    unclipped_norm = clip_bucket_delta(values, spec.clip_bound, spec.clipping)
-    return BucketDelta(
-        rows=rows,
-        values=values,
-        shapes={name: theta[name].shape for name in TENSOR_NAMES},
-        mean_loss=loss_total / num_batches,
-        num_batches=num_batches,
-        unclipped_norm=unclipped_norm,
-    )
-
-
-def _shared_step(
-    plan: _BucketPlan,
-    step: tuple,
-    spec: LocalUpdateSpec,
-    kernel: LossKernel,
-) -> float:
-    """One shared-negative SGD step through the plan's scratch buffers,
-    with the loss through its dtype-preserving kernel. Returns the batch
-    loss. (Sampled softmax with shared negatives runs chunk-batched in
-    :func:`_grouped_step` instead.)
-
-    The logits live transposed — ``(1 + neg, n)``, example per column —
-    so the negative block is the direct output of one contiguous GEMM.
-    """
-    _, n, block, order, starts = step[:5]
-    seg_rows = step[5]
-    k = block.size - 2 * n
-    P = plan.P
-    dim = P.shape[1] - 1
-
-    hidden = P.take(block[:n], 0, plan._h[:n], "clip")
-    ctx = P.take(block[n : 2 * n], 0, plan._c[:n], "clip")
-    neg = P.take(block[2 * n :], 0, plan._n[:k], "clip")
-
-    # The trailing bias/ones column makes these dot products the biased
-    # logits directly: W_t . Wc_c + b_c (idea 2 of the module docstring).
-    logits = plan._lg if n == plan._lg.shape[1] else np.empty(
-        (1 + k, n), dtype=P.dtype
-    )
-    work = plan._wk[:n]
-    np.einsum("nd,nd->n", hidden, ctx, out=logits[0])
-    np.dot(neg, hidden.T, out=logits[1:])
-
-    loss, untransposed = kernel(logits.T)
-    grad = np.multiply(untransposed.T, np.float32(-spec.learning_rate), out=logits)
-
-    grad_positive = grad[0][:, None]  # (n, 1)
-    grad_negative = grad[1:]  # (k, n)
-
-    # Update block [d_target | d_context | d_negative]; duplicate
-    # destinations merge through the precomputed sort + reduceat schedule
-    # (sequential per-segment sums — the association the chunk-batched
-    # path reproduces bit for bit), then one fancy-index add applies it.
-    num_updates = 2 * n + k
-    vals = plan._vals[:num_updates]
-    np.multiply(ctx, grad_positive, out=vals[:n])
-    vals[:n] += np.dot(grad_negative.T, neg, out=work)
-    # Zero the d_target block's trailing column up front: every entry a
-    # target-row segment sums is then an exact 0.0, so the constant-1
-    # column survives without any per-segment masking.
-    vals[:n, dim] = 0.0
-    np.multiply(hidden, grad_positive, out=vals[n : 2 * n])
-    np.dot(grad_negative, hidden, out=vals[2 * n :])
-    merged = vals.take(order, 0, plan._seg[:num_updates], "clip")
-    segments = np.add.reduceat(merged, starts, 0)
-    _add_rows(P, seg_rows, segments)
-    return loss
-
-
-def _per_pair_step(
-    plan: _BucketPlan,
-    step: tuple,
-    spec: LocalUpdateSpec,
-    kernel: LossKernel,
-) -> float:
-    """One per-pair-negative SGD step on the compact arrays."""
-    _, n, block = step[:3]
-    order, seg_starts, seg_rows = step[3:]
-    k = (block.size - 2 * n) // n
-    P = plan.P
-    dim = P.shape[1] - 1
-
-    hidden = P.take(block[:n], axis=0, mode="clip")
-    ctx = P.take(block[n : 2 * n], axis=0, mode="clip")
-    neg = P.take(block[2 * n :], axis=0, mode="clip").reshape(n, k, dim + 1)
-
-    logits = np.empty((n, 1 + k), dtype=P.dtype)
-    np.einsum("nd,nd->n", hidden, ctx, out=logits[:, 0])
-    np.einsum("nd,nkd->nk", hidden, neg, out=logits[:, 1:])
-
-    loss, grad = kernel(logits)
-    np.multiply(grad, np.float32(-spec.learning_rate), out=grad)
-
-    vals = np.empty((2 * n + n * k, dim + 1), dtype=P.dtype)
-    np.multiply(ctx, grad[:, :1], out=vals[:n])
-    vals[:n] += np.einsum("nk,nkd->nd", grad[:, 1:], neg)
-    # Pre-zeroed d_target trailing column: see _shared_step.
-    vals[:n, dim] = 0.0
-    np.multiply(hidden, grad[:, :1], out=vals[n : 2 * n])
-    np.multiply(
-        hidden[:, None, :], grad[:, 1:, None], out=vals[2 * n :].reshape(n, k, dim + 1)
-    )
-    merged = vals.take(order, axis=0)
-    segments = np.add.reduceat(merged, seg_starts, axis=0)
-    _add_rows(P, seg_rows, segments)
-    return loss
-
-
 class _ChunkSchedule:
     """A chunk of buckets compiled into one batched execution schedule.
 
-    The chunk-level twin of :class:`_BucketPlan`: every bucket's compact
-    rows live in one ``stacked`` float32 matrix (every bucket's embedding
-    rows, then every bucket's context rows), and ``compiled[j]`` holds the
-    shape groups of local step ``j`` across all buckets in the group
-    tuple format :func:`_grouped_step` executes. Unlike per-bucket plans,
-    the whole schedule is assembled by global vectorized passes — one
-    flat stable sort and a handful of ragged-index manipulations for the
-    entire chunk — so compile cost does not scale with the number of
-    python-level (bucket, batch) visits.
+    Every bucket's compact rows live in one ``stacked`` matrix of the
+    working dtype (every bucket's embedding rows, then every bucket's
+    context rows; ideas 1 and 2 of the module docstring), and
+    ``compiled[j]`` holds the shape groups of local step ``j`` across all
+    buckets in the group tuple format :func:`_grouped_step` executes. The
+    whole schedule is assembled by global vectorized passes — one flat
+    stable sort and a handful of ragged-index manipulations for the entire
+    chunk — so compile cost does not scale with the number of python-level
+    (bucket, batch) visits.
 
     ``emb_src`` / ``ctx_src`` are the buckets' touched vocabulary rows
     back to back (``emb_bounds`` / ``ctx_bounds`` delimit buckets); they
@@ -547,12 +209,16 @@ def _compile_chunk(
 ) -> _ChunkSchedule:
     """Compile a chunk of (non-empty) buckets into a `_ChunkSchedule`.
 
-    Produces exactly the schedule a per-bucket :class:`_BucketPlan` build
-    followed by shape-grouping would: the same stacked rows, the same
-    sort-derived duplicate-merge segments (stable sort, so the same entry
-    order within each segment), and the same singleton/duplicate split —
-    which is what keeps a bucket's result bit-identical however the
-    executor chunks buckets (a bucket alone is a chunk of one).
+    A bucket's part of the schedule does not depend on the other buckets
+    in the chunk: its rows sort the same way, its duplicate-merge segments
+    hold the same entries in the same (stable-sort) order, and its batches
+    land in groups of the same shape. That is what keeps a bucket's result
+    bit-identical however the executor chunks buckets (a bucket alone is a
+    chunk of one).
+
+    Every batch's entries are laid out ``[t | c | g]``: its ``n`` targets,
+    its ``n`` contexts, then its negatives — ``k`` shared ones, or the
+    ``(n, neg)`` per-pair block raveled pair by pair (``k = n * neg``).
     """
     num_buckets = len(bucket_lists)
     vocab = int(theta[EMBEDDING].shape[0])
@@ -566,19 +232,22 @@ def _compile_chunk(
     k_list: list[int] = []
     b_list: list[int] = []
     s_list: list[int] = []
+    shared_list: list[bool] = []
     for b, batches in enumerate(bucket_lists):
         for j, batch in enumerate(batches):
             t_parts.append(batch.targets)
             c_parts.append(batch.contexts)
-            g_parts.append(batch.negatives)
+            g_parts.append(batch.negatives.ravel())
             n_list.append(batch.targets.size)
             k_list.append(batch.negatives.size)
             b_list.append(b)
             s_list.append(j)
+            shared_list.append(batch.shared)
     q_n = np.asarray(n_list, dtype=np.int64)
     q_k = np.asarray(k_list, dtype=np.int64)
     q_bucket = np.asarray(b_list, dtype=np.int64)
     q_step = np.asarray(s_list, dtype=np.int64)
+    q_shared = np.asarray(shared_list, dtype=np.int64)
     num_batches = int(q_n.size)
     all_t = np.concatenate(t_parts)
     all_c = np.concatenate(c_parts)
@@ -587,8 +256,7 @@ def _compile_chunk(
 
     # -- per-bucket unique rows and the stacked layout ---------------------
     # Keys ``bucket * vocab + row`` make one global sort yield every
-    # bucket's sorted unique rows back to back — the same sorted row sets
-    # _BucketPlan builds one bucket at a time.
+    # bucket's sorted unique rows back to back.
     pair_bucket = np.repeat(q_bucket, q_n)
     neg_bucket = np.repeat(q_bucket, q_k)
     t_keys = pair_bucket * vocab + all_t
@@ -612,9 +280,9 @@ def _compile_chunk(
 
     # Fill the stacked compact matrix straight from theta: every bucket's
     # embedding rows first, then every bucket's context rows. Assigning
-    # the float64 gathers casts each row to the working dtype — the same
-    # rounding a per-bucket plan's fill applies — and row positions never
-    # enter the arithmetic, so the layout is bitwise neutral.
+    # the float64 gathers casts each row to the working dtype, and row
+    # positions never enter the arithmetic, so the layout is bitwise
+    # neutral.
     stacked = np.empty((total_rows, width), dtype=dtype)
     dim = width - 1
     stacked[:num_emb, :dim] = theta[EMBEDDING].take(emb_src, 0)
@@ -650,9 +318,8 @@ def _compile_chunk(
     scatter_idx[dest_g] = g_rows
 
     # -- one flat stable sort merges duplicate destinations per batch ------
-    # (the same construction _BucketPlan runs per bucket, lifted to the
-    # whole chunk: batch-offset keys keep batches disjoint, stable order
-    # keeps each segment's entries in original order for ``reduceat``)
+    # (batch-offset keys keep batches disjoint; stable order keeps each
+    # segment's entries in original order for ``reduceat``)
     flat = scatter_idx + np.repeat(
         np.arange(num_batches, dtype=np.int64) * total_rows, m_q
     )
@@ -672,13 +339,13 @@ def _compile_chunk(
     order_rel = order - np.repeat(block_off[:-1], m_q)
     starts_rel = starts - block_off[seg_batch]
 
-    # -- group batches by (local step index, n, k) -------------------------
+    # -- group batches by (local step index, n, k, negative layout) --------
     # Same-shape step ``j`` of many buckets runs as one batched call;
     # grouping never crosses step indices, so each bucket's local SGD
     # steps still execute strictly in order.
     nmax = int(q_n.max()) + 1
     kmax = int(q_k.max()) + 1
-    gkey = (q_step * nmax + q_n) * kmax + q_k
+    gkey = ((q_step * nmax + q_n) * kmax + q_k) * 2 + q_shared
     uniq_g, g_inv = np.unique(gkey, return_inverse=True)
     by_group = np.argsort(g_inv, kind="stable")
     num_groups = int(uniq_g.size)
@@ -768,7 +435,7 @@ def _compile_chunk(
     d_off = g_dup_off.tolist()
     nums = group_num.tolist()
     for g in range(num_groups):
-        key = keys[g]
+        key, shared = divmod(keys[g], 2)
         k = key % kmax
         n = (key // kmax) % nmax
         compiled[key // (kmax * nmax)].append(
@@ -776,6 +443,7 @@ def _compile_chunk(
                 bucket_by[gb[g] : gb[g + 1]],
                 n,
                 k,
+                bool(shared),
                 block_all[e_off[g] : e_off[g + 1]].reshape(nums[g], 2 * n + k),
                 single_order_all[s_off[g] : s_off[g + 1]],
                 single_rows_all[s_off[g] : s_off[g + 1]],
@@ -804,6 +472,7 @@ def _execute_chunk(
     compiled = schedule.compiled
     width = stacked.shape[1]
     dtype = stacked.dtype
+    kernel = _loss_kernel(spec.loss_name, spec.num_locations)
 
     # One set of working buffers, sized to the largest group; every
     # executed step carves contiguous views out of these.
@@ -811,13 +480,14 @@ def _execute_chunk(
     num_buckets = 0
     for step_groups in compiled:
         for group in step_groups:
-            num = group[3].shape[0]
-            n, k = group[1], group[2]
+            num = group[4].shape[0]
+            n, k, shared = group[1:4]
             m = 2 * n + k
             gather_max = max(gather_max, num * m)
-            logits_max = max(logits_max, num * (1 + k) * n)
+            # (B, 1 + neg, n) logits: neg = k shared, k / n per pair.
+            logits_max = max(logits_max, num * (n + (k * n if shared else k)))
             work_max = max(work_max, num * n)
-            singles_max = max(singles_max, group[4].size)
+            singles_max = max(singles_max, group[5].size)
             num_buckets = max(num_buckets, int(group[0].max()) + 1)
     scratch = (
         np.empty((gather_max, width), dtype=dtype),
@@ -833,7 +503,9 @@ def _execute_chunk(
     learning_rate = spec.learning_rate
     for step_groups in compiled:
         for group in step_groups:
-            batch_losses = _grouped_step(stacked, group, learning_rate, scratch)
+            batch_losses = _grouped_step(
+                stacked, group, kernel, learning_rate, scratch
+            )
             for bucket, batch_loss in zip(group[0].tolist(), batch_losses):
                 losses[bucket] += batch_loss
     return losses
@@ -904,64 +576,80 @@ def _finalize_chunk(
 def _grouped_step(
     stacked: np.ndarray,
     group: tuple,
+    kernel: LossKernel,
     learning_rate: float,
     scratch: tuple,
 ) -> list[float]:
     """One local-SGD step of one compiled shape group as batched math.
 
-    The sampled-softmax shared-negative step, batched over one extra
-    leading axis (one member per bucket): one gather returns the whole
-    ``(B, m, dim + 1)`` row block per bucket and the logits run through
-    one batched GEMM per direction. Duplicate scatter destinations merge
-    through the precompiled singleton/duplicate schedule, and fancy-index
-    adds apply every bucket's update (segment rows are unique across the
-    group because per-bucket row ranges are disjoint). Returns the
-    per-member batch losses.
+    The step batched over one extra leading axis (one member per bucket):
+    one gather returns the whole ``(B, m, dim + 1)`` row block per bucket,
+    and the logits land in one ``(B, 1 + neg, n)`` block — candidate axis
+    in the middle, one example per column — that the loss kernel turns
+    into the per-example gradient in place. Shared negatives are a
+    ``(B, k, dim + 1)`` block, so both directions run as one batched GEMM
+    each; per-pair negatives are a ``(B, n, neg, dim + 1)`` block
+    contracted per example. Duplicate scatter destinations merge through
+    the precompiled singleton/duplicate schedule, and fancy-index adds
+    apply every bucket's update (segment rows are unique across the group
+    because per-bucket row ranges are disjoint). Returns the per-member
+    batch losses.
     """
-    _, n, k, block_idx, single_order, single_rows = group[:6]
-    dup_order, dup_starts, dup_rows = group[6:]
+    _, n, k, shared, block_idx, single_order, single_rows = group[:7]
+    dup_order, dup_starts, dup_rows = group[7:]
     num = block_idx.shape[0]
     m = 2 * n + k
     width = stacked.shape[1]
     dim = width - 1
+    neg_count = k if shared else k // n
 
     gathered = scratch[0][: num * m].reshape(num, m, width)
     stacked.take(block_idx, 0, gathered, "clip")
     hidden = gathered[:, :n]
     ctx = gathered[:, n : 2 * n]
-    neg = gathered[:, 2 * n :]  # (B, k, width)
 
-    logits = scratch[1][: num * (1 + k) * n].reshape(num, 1 + k, n)
+    # The trailing bias/ones column makes these dot products the biased
+    # logits directly: W_t . Wc_c + b_c (idea 2 of the module docstring).
+    logits = scratch[1][: num * (1 + neg_count) * n].reshape(
+        num, 1 + neg_count, n
+    )
     work = scratch[2][: num * n].reshape(num, n, width)
     np.einsum("bnd,bnd->bn", hidden, ctx, out=logits[:, 0])
-    np.matmul(neg, hidden.transpose(0, 2, 1), out=logits[:, 1:])
+    if shared:
+        neg = gathered[:, 2 * n :]  # (B, k, width)
+        np.matmul(neg, hidden.transpose(0, 2, 1), out=logits[:, 1:])
+    else:
+        neg = gathered[:, 2 * n :].reshape(num, n, neg_count, width)
+        np.einsum("bnd,bnkd->bkn", hidden, neg, out=logits[:, 1:])
 
-    # Batched sampled softmax (axis 1 is the candidate axis), with the
-    # -lr/n update scale folded into the gradient in place.
-    peak = logits.max(1)
-    np.subtract(logits, peak[:, None, :], out=logits)
-    np.exp(logits, out=logits)
-    denominator = logits.sum(1)
-    np.divide(logits, denominator[:, None, :], out=logits)
-    clamped = np.maximum(logits[:, 0], _TINY32)
-    np.log(clamped, out=clamped)
-    # float32 row sums, then the -1/n scale in float64: each member's
-    # loss is ``-float(sum) / n``, whatever the group's size.
-    batch_losses = clamped.sum(1).astype(np.float64)
-    batch_losses /= -n
-    logits[:, 0] -= 1.0
-    grad = np.multiply(logits, np.float32(-learning_rate / n), out=logits)
+    # The loss kernel leaves d(loss_i)/d(logits) in place; the -lr/n
+    # update scale folds into it in one multiply.
+    batch_losses = kernel(logits)
+    grad = np.multiply(logits, stacked.dtype.type(-learning_rate / n), out=logits)
     grad_positive = grad[:, 0][:, :, None]  # (B, n, 1)
-    grad_negative = grad[:, 1:]  # (B, k, n)
+    grad_negative = grad[:, 1:]  # (B, neg, n)
 
+    # Update block [d_target | d_context | d_negative].
     vals = scratch[3][: num * m].reshape(num, m, width)
     np.multiply(ctx, grad_positive, out=vals[:, :n])
-    np.matmul(grad_negative.transpose(0, 2, 1), neg, out=work)
+    if shared:
+        np.matmul(grad_negative.transpose(0, 2, 1), neg, out=work)
+    else:
+        np.einsum("bkn,bnkd->bnd", grad_negative, neg, out=work)
     vals[:, :n] += work
-    # Pre-zeroed d_target trailing column: see _shared_step.
+    # Zero the d_target block's trailing column: every entry a target-row
+    # segment sums is then an exact 0.0, so the constant-1 column survives
+    # without any per-segment masking.
     vals[:, :n, dim] = 0.0
     np.multiply(hidden, grad_positive, out=vals[:, n : 2 * n])
-    np.matmul(grad_negative, hidden, out=vals[:, 2 * n :])
+    if shared:
+        np.matmul(grad_negative, hidden, out=vals[:, 2 * n :])
+    else:
+        np.multiply(
+            hidden[:, :, None],
+            grad_negative.transpose(0, 2, 1)[..., None],
+            out=vals[:, 2 * n :].reshape(num, n, neg_count, width),
+        )
 
     # Scatter: singleton segments are one gather + one fancy add; the
     # rare duplicate segments merge through a small reduceat first. The

@@ -132,72 +132,70 @@ class NoiseContrastiveEstimationLoss(CandidateSamplingLoss):
         return LossOutput(loss=loss, grad_logits=grad)
 
 
-# -- dtype-preserving kernel forms ------------------------------------------
+# -- batched in-place kernel forms ------------------------------------------
 #
 # The class-based losses above are the reference implementations: they
-# coerce to float64 and favor numerical exactness. Kernel backends need the
-# same math as a raw function that (a) preserves the input dtype (float32
-# accumulation in the fast path), (b) allocates nothing it can compute in
-# place, and (c) lets the caller substitute an approximate sigmoid (the
-# lookup table). ``make_loss_kernel`` is that backend-facing API; the
-# backend-neutral contract is "same loss/gradient as the reference class
-# within the dtype's precision", enforced by tests/nn/test_backends.py.
+# coerce to float64 and favor numerical exactness. The fast backend needs
+# the same math as a raw function over a whole *block* of batches, one
+# batch per bucket: logits ``(B, 1 + neg, n)`` with the candidate axis in
+# the middle (index 0 the positive) and one batch example per column. A
+# kernel (a) preserves the block's dtype (float32 accumulation in the fast
+# path), (b) works in place, and (c) lets the caller substitute an
+# approximate sigmoid (the lookup table). ``make_loss_kernel`` is that
+# backend-facing API; the backend-neutral contract is "same loss/gradient
+# as the reference class within the dtype's precision", enforced by
+# tests/nn/test_backends.py.
 
-#: A loss kernel maps candidate logits ``(batch, 1 + neg)`` — column 0
-#: positive — to ``(mean_loss, grad_logits)`` with ``grad_logits`` already
-#: divided by the batch size, computed in the dtype of the input.
-LossKernel = Callable[[np.ndarray], tuple[float, np.ndarray]]
+#: A loss kernel overwrites a ``(B, 1 + neg, n)`` logits block with the
+#: per-example gradient d(loss_i)/d(logits) — not yet divided by ``n``;
+#: the caller folds ``1/n`` into its step scale — and returns the ``(B,)``
+#: float64 mean losses, one per batch. Batches never mix: every member's
+#: values depend on its own slice only.
+LossKernel = Callable[[np.ndarray], np.ndarray]
 
 
-def _sampled_softmax_kernel(logits: np.ndarray) -> tuple[float, np.ndarray]:
-    batch = logits.shape[0]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    np.exp(shifted, out=shifted)
-    denominator = shifted.sum(axis=1, keepdims=True)
-    probs = shifted
-    probs /= denominator
-    tiny = np.finfo(probs.dtype).tiny
-    loss = float(-np.mean(np.log(np.maximum(probs[:, 0], tiny))))
-    grad = probs
-    grad[:, 0] -= 1.0
-    grad /= batch
-    return loss, grad
+def _sampled_softmax_kernel(logits: np.ndarray) -> np.ndarray:
+    n = logits.shape[2]
+    peak = logits.max(1)
+    np.subtract(logits, peak[:, None, :], out=logits)
+    np.exp(logits, out=logits)
+    denominator = logits.sum(1)
+    np.divide(logits, denominator[:, None, :], out=logits)
+    clamped = np.maximum(logits[:, 0], np.finfo(logits.dtype).tiny)
+    np.log(clamped, out=clamped)
+    # Sums in the block's dtype, then the -1/n scale in float64: each
+    # member's loss is ``-float(sum) / n``, whatever the block's size.
+    losses = clamped.sum(1).astype(np.float64)
+    losses /= -n
+    logits[:, 0] -= 1.0
+    return losses
 
 
 def _negative_sampling_kernel(
     logits: np.ndarray, sigmoid_fn: Callable[[np.ndarray], np.ndarray]
-) -> tuple[float, np.ndarray]:
-    batch = logits.shape[0]
-    probs = np.asarray(sigmoid_fn(logits), dtype=logits.dtype)
-    if probs.base is not None or probs is logits:
-        probs = probs.copy()
-    tiny = np.finfo(probs.dtype).tiny
-    positive_term = -np.log(np.maximum(probs[:, 0], tiny))
-    negative_term = -np.sum(np.log1p(-np.minimum(probs[:, 1:], 1.0 - 1e-7)), axis=1)
-    loss = float(np.mean(positive_term + negative_term))
-    grad = probs
-    grad[:, 0] -= 1.0
-    grad /= batch
-    return loss, grad
+) -> np.ndarray:
+    probs = sigmoid_fn(logits)
+    tiny = np.finfo(logits.dtype).tiny
+    per_example = np.log(np.maximum(probs[:, 0], tiny))
+    per_example += np.log1p(-np.minimum(probs[:, 1:], 1.0 - 1e-7)).sum(1)
+    np.copyto(logits, probs)
+    logits[:, 0] -= 1.0
+    return -per_example.mean(1, dtype=np.float64)
 
 
 def _nce_kernel(
     logits: np.ndarray,
     num_locations: int,
     sigmoid_fn: Callable[[np.ndarray], np.ndarray],
-) -> tuple[float, np.ndarray]:
-    batch, width = logits.shape
-    correction = logits.dtype.type(math.log((width - 1) / num_locations))
-    corrected = logits - correction
-    loss_matrix = np.logaddexp(0.0, corrected, dtype=corrected.dtype)
-    loss_matrix[:, 0] -= corrected[:, 0]
-    loss = float(np.mean(np.sum(loss_matrix, axis=1)))
-    grad = np.asarray(sigmoid_fn(corrected), dtype=logits.dtype)
-    if grad.base is not None or grad is corrected:
-        grad = grad.copy()
-    grad[:, 0] -= 1.0
-    grad /= batch
-    return loss, grad
+) -> np.ndarray:
+    # Corrected logits ``z - log(k / L)``, in place.
+    logits -= logits.dtype.type(math.log((logits.shape[1] - 1) / num_locations))
+    loss_block = np.logaddexp(0.0, logits, dtype=logits.dtype)
+    loss_block[:, 0] -= logits[:, 0]
+    losses = loss_block.sum(1).mean(1, dtype=np.float64)
+    np.copyto(logits, sigmoid_fn(logits))
+    logits[:, 0] -= 1.0
+    return losses
 
 
 def make_loss_kernel(

@@ -25,7 +25,8 @@ The types:
 Versioning & deprecation policy (see ``docs/serving.md``): additive
 fields may appear within a wire version; renaming or re-typing a field
 bumps :data:`WIRE_VERSION`, and the previous version stays decodable for
-at least two release cycles, mirroring :mod:`repro._compat`.
+at least two release cycles, the removal policy every deprecated name
+follows (``docs/architecture.md``).
 """
 
 from __future__ import annotations

@@ -2,11 +2,11 @@
 
 Runs the same interleaved per-backend ``local_train`` measurement the
 benchmark report uses (:func:`repro.bench.measure_kernel_speedup`) and
-gates on the fast backend's speedup. On the 1-core CI box the measured
-ratio at the default config is typically 3.8-4.7x (best observed 4.7x);
-the assertion floor is set well below that band so scheduler noise —
-which swings single runs by tens of percent — cannot flake the gate,
-while still catching any real regression of the fused path.
+gates on the fast backend's speedup. On a shared 2-vCPU host the
+measured ratio at the default config has ranged from 2.3x to 3.6x since
+the reference backend compiles each bucket into a plan; the floor sits
+at the bottom of that band, so a run during a host slow spell can still
+trip it, while any real regression of the fused path fails it.
 """
 
 from __future__ import annotations
@@ -25,6 +25,6 @@ def test_fast_backend_local_train_speedup():
     assert timings["fast"] < timings["reference"], result
     assert speedup >= 2.5, (
         "fast backend no longer delivers its documented speedup over "
-        f"reference (measured {speedup:.2f}x, typical range 3.8-4.7x): "
+        f"reference (measured {speedup:.2f}x, typical range 2.3-3.6x): "
         f"{result}"
     )

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import pickle
-import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +33,31 @@ from repro.nn.backends import (
 )
 
 BACKENDS = list(BACKEND_NAMES)
+
+#: Every (loss, negative sharing) pair the fused kernels run; the first
+#: is the paper default.
+MODES = [
+    (loss, sharing)
+    for loss in ("sampled_softmax", "negative_sampling", "nce")
+    for sharing in ("batch", "per_pair")
+]
+
+
+def _over_modes(argnames, cases):
+    """Parametrize ``loss, sharing, *argnames`` over ``MODES`` x ``cases``.
+
+    The paper-default cells keep their plain ids (``[1-8]``, ``[fast]``);
+    the other modes prefix theirs with ``loss-sharing-``.
+    """
+    params = []
+    for loss, sharing in MODES:
+        for case in cases:
+            ident = "-".join(str(value) for value in case)
+            if (loss, sharing) != MODES[0]:
+                ident = f"{loss}-{sharing}-{ident}"
+            params.append(pytest.param(loss, sharing, *case, id=ident))
+    return pytest.mark.parametrize(("loss", "sharing", *argnames), params)
+
 
 #: Documented worst-case embedding drift of the float32 fused path vs the
 #: float64 reference for a few local steps (see docs/kernels.md).
@@ -62,12 +86,21 @@ def trained():
     return {backend: _train(backend) for backend in BACKENDS}
 
 
-def _bucket_setup(num_negatives=16, num_pairs=300, seed=3, backend="reference"):
+def _bucket_setup(
+    num_negatives=16,
+    num_pairs=300,
+    seed=3,
+    backend="reference",
+    loss="sampled_softmax",
+    sharing="batch",
+):
     rng = np.random.default_rng(seed)
     model = SkipGramModel(
         num_locations=200,
         embedding_dim=32,
         num_negatives=num_negatives,
+        loss=loss,
+        negative_sharing=sharing,
         rng=np.random.default_rng(7),
         backend=backend,
     )
@@ -104,13 +137,16 @@ class TestLedgerBitIdentity:
 
     def test_unclipped_norms_and_losses_are_finite(self):
         for backend in BACKENDS:
-            model, batches, spec = _bucket_setup(backend=backend)
-            delta = model.backend.fused_bucket_update(
-                model.params, batches, spec
-            )
-            assert np.isfinite(delta.mean_loss)
-            assert np.isfinite(delta.unclipped_norm)
-            assert delta.num_batches == len(batches)
+            for loss, sharing in MODES:
+                model, batches, spec = _bucket_setup(
+                    backend=backend, loss=loss, sharing=sharing
+                )
+                delta = model.backend.fused_bucket_update(
+                    model.params, batches, spec
+                )
+                assert np.isfinite(delta.mean_loss), (backend, loss, sharing)
+                assert np.isfinite(delta.unclipped_norm)
+                assert delta.num_batches == len(batches)
 
 
 class TestEmbeddingDrift:
@@ -122,16 +158,23 @@ class TestEmbeddingDrift:
             assert drift < FLOAT32_DRIFT, (backend, drift)
             assert drift > 0.0  # float32 really is a different path
 
-    @pytest.mark.parametrize("num_negatives", [1, 8, 40])
-    @pytest.mark.parametrize("num_pairs", [1, 33, 500])
-    def test_bucket_delta_equivalence(self, num_negatives, num_pairs):
-        model_ref, batches_ref, spec = _bucket_setup(num_negatives, num_pairs)
+    @_over_modes(
+        ("num_pairs", "num_negatives"),
+        [(pairs, neg) for pairs in (1, 33, 500) for neg in (1, 8, 40)],
+    )
+    def test_bucket_delta_equivalence(
+        self, loss, sharing, num_pairs, num_negatives
+    ):
+        model_ref, batches_ref, spec = _bucket_setup(
+            num_negatives, num_pairs, loss=loss, sharing=sharing
+        )
         reference = model_ref.backend.fused_bucket_update(
             model_ref.params, batches_ref, spec
         )
         for backend in BACKENDS[1:]:
             model, batches, spec_b = _bucket_setup(
-                num_negatives, num_pairs, backend=backend
+                num_negatives, num_pairs, backend=backend, loss=loss,
+                sharing=sharing,
             )
             delta = model.backend.fused_bucket_update(
                 model.params, batches, spec_b
@@ -148,30 +191,41 @@ class TestEmbeddingDrift:
     def test_float64_accumulation_matches_reference_tightly(self):
         """The drift is float32 accumulation, not the fused algorithm:
         running the fast backend's kernels in float64 lands within
-        rounding distance of the reference."""
+        rounding distance of the reference. (Sampled softmax only: the
+        sigmoid losses read the float32 sigmoid table at any dtype.)"""
 
         class Float64Fast(FastBackend):
             accumulation_dtype = np.float64
 
-        model, batches, spec = _bucket_setup()
-        reference = model.backend.fused_bucket_update(
-            model.params, batches, spec
-        )
-        delta = Float64Fast().fused_bucket_update(model.params, batches, spec)
-        for name in reference.rows:
-            assert np.array_equal(delta.rows[name], reference.rows[name])
-            assert np.allclose(
-                delta.values[name], reference.values[name], atol=1e-9, rtol=0
+        for sharing in ("batch", "per_pair"):
+            model, batches, spec = _bucket_setup(sharing=sharing)
+            reference = model.backend.fused_bucket_update(
+                model.params, batches, spec
             )
+            delta = Float64Fast().fused_bucket_update(
+                model.params, batches, spec
+            )
+            for name in reference.rows:
+                assert np.array_equal(delta.rows[name], reference.rows[name])
+                assert np.allclose(
+                    delta.values[name],
+                    reference.values[name],
+                    atol=1e-9,
+                    rtol=0,
+                ), (sharing, name)
 
 
 class TestFusedChunkContract:
     """Chunk batching is an optimization, never a semantic change."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_multi_bucket_matches_single_bucket_bitwise(self, backend):
+    @_over_modes(("backend",), [(backend,) for backend in BACKENDS])
+    def test_multi_bucket_matches_single_bucket_bitwise(
+        self, loss, sharing, backend
+    ):
         rng = np.random.default_rng(3)
-        model, _, spec = _bucket_setup(backend=backend)
+        model, _, spec = _bucket_setup(
+            backend=backend, loss=loss, sharing=sharing
+        )
         chunks = []
         for b in range(7):
             pairs = rng.integers(0, 200, size=(int(rng.integers(1, 160)), 2))
@@ -195,9 +249,11 @@ class TestFusedChunkContract:
             assert single.mean_loss == multi[i].mean_loss
             assert single.unclipped_norm == multi[i].unclipped_norm
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_empty_bucket_in_chunk(self, backend):
-        model, batches, spec = _bucket_setup(backend=backend)
+    @_over_modes(("backend",), [(backend,) for backend in BACKENDS])
+    def test_empty_bucket_in_chunk(self, loss, sharing, backend):
+        model, batches, spec = _bucket_setup(
+            backend=backend, loss=loss, sharing=sharing
+        )
         deltas = model.backend.fused_multi_bucket_update(
             model.params, [[], batches, []], spec
         )
@@ -210,8 +266,10 @@ class TestFusedChunkContract:
 
 class TestRegistry:
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigError, match="unknown backend"):
-            get_backend("cuda")
+        # "numba" was a deprecated spelling of "fast"; it is gone.
+        for name in ("cuda", "numba"):
+            with pytest.raises(ConfigError, match="unknown backend"):
+                get_backend(name)
 
     def test_instances_are_cached_and_picklable(self):
         for backend in BACKENDS:
@@ -219,21 +277,6 @@ class TestRegistry:
             assert get_backend(backend) is instance
             clone = pickle.loads(pickle.dumps(instance))
             assert type(clone) is type(instance)
-
-    def test_numba_absent_falls_back_to_fast(self):
-        with pytest.warns(DeprecationWarning, match='backend="fast"'):
-            backend = get_backend("numba")
-        assert backend is get_backend("fast")
-
-    def test_numba_fallback_training_matches_fast(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            fallback = _train("numba")
-        assert [w.category for w in caught] == [DeprecationWarning]
-        fast = _train("fast")
-        assert np.array_equal(
-            fallback.embeddings.matrix, fast.embeddings.matrix
-        )
 
     def test_reference_is_float64(self):
         assert ReferenceBackend.accumulation_dtype == np.float64

@@ -16,6 +16,7 @@ from repro.nn.losses import (
     NoiseContrastiveEstimationLoss,
     SampledSoftmaxLoss,
     make_loss,
+    make_loss_kernel,
 )
 
 
@@ -138,3 +139,24 @@ class TestMakeLoss:
     def test_unknown_rejected(self):
         with pytest.raises(ConfigError):
             make_loss("hinge")
+
+
+class TestLossKernel:
+    """The batched in-place kernel form against the reference classes."""
+
+    @pytest.mark.parametrize("name", ["sampled_softmax", "negative_sampling", "nce"])
+    def test_each_member_matches_reference(self, name):
+        rng = np.random.default_rng(5)
+        block = rng.normal(scale=2.0, size=(3, 6, 4))  # (B, 1 + neg, n)
+        kernel = make_loss_kernel(name, num_locations=100)
+        reference = make_loss(name, num_locations=100)
+        grad = block.copy()
+        losses = kernel(grad)
+        assert losses.shape == (3,) and losses.dtype == np.float64
+        for member in range(3):
+            # The reference takes (n, 1 + neg) and divides by n.
+            expected = reference.value_and_grad(block[member].T)
+            assert np.isclose(losses[member], expected.loss, rtol=1e-12)
+            assert np.allclose(
+                grad[member].T / 4, expected.grad_logits, rtol=0, atol=1e-12
+            )
