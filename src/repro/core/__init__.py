@@ -13,7 +13,7 @@ grouping (:mod:`repro.core.dpsgd`).
 """
 
 from repro.core.config import PLPConfig
-from repro.core.sampling import expected_sample_size, poisson_sample
+from repro.core.sampling import poisson_sample
 from repro.core.grouping import (
     assign_random_buckets,
     assign_equal_frequency_buckets,
@@ -21,11 +21,7 @@ from repro.core.grouping import (
     group_data,
     split_pairs,
 )
-from repro.core.bucket import (
-    BucketUpdate,
-    model_update_from_bucket,
-    model_updates_from_buckets,
-)
+from repro.core.bucket import BucketUpdate, model_updates_from_buckets
 from repro.core.history import EvalRecord, StepRecord, TrainingHistory
 from repro.core.schedules import (
     ConstantSchedule,
@@ -33,7 +29,6 @@ from repro.core.schedules import (
     LinearDecaySchedule,
     NoiseSchedule,
     StepDecaySchedule,
-    make_schedule,
 )
 from repro.core.engine import (
     BucketExecutor,
@@ -62,13 +57,11 @@ __all__ = [
     "CheckpointObserver",
     "PLPConfig",
     "poisson_sample",
-    "expected_sample_size",
     "assign_random_buckets",
     "assign_equal_frequency_buckets",
     "build_bucket_arrays",
     "split_pairs",
     "group_data",
-    "model_update_from_bucket",
     "model_updates_from_buckets",
     "BucketUpdate",
     "TrainingHistory",
@@ -79,7 +72,6 @@ __all__ = [
     "LinearDecaySchedule",
     "ExponentialDecaySchedule",
     "StepDecaySchedule",
-    "make_schedule",
     "PrivateLocationPredictor",
     "NonPrivateTrainer",
     "UserLevelDPSGD",

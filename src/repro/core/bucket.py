@@ -22,17 +22,16 @@ bucket once: the reference backend gathers the bucket's whole read set
 from ``theta`` into compact float64 copies and precomputes every batch's
 row-scatter plan in one vectorized pass (see
 :mod:`repro.nn.backends.reference`); the fast backend compiles a whole
-chunk of buckets into one compact float32 schedule the same way. ``theta`` is never written, so the
-function is safe to run concurrently against one shared snapshot (thread
-workers) or a pickled copy (process workers), and an exception
-mid-bucket cannot corrupt the global model. The per-bucket cost stays
-proportional to the bucket's data, not to the model size — the dominant
-cost at small grouping factors where hundreds of buckets run per step.
+chunk of buckets into one compact float32 schedule the same way.
+``theta`` is never written, so a chunk is safe to run against a pickled
+copy in a process worker, and an exception mid-bucket cannot corrupt the
+global model. The per-bucket cost stays proportional to the bucket's
+data, not to the model size — the dominant cost at small grouping
+factors where hundreds of buckets run per step.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,14 +80,6 @@ class BucketUpdate:
             num_batches=delta.num_batches,
             unclipped_norm=delta.unclipped_norm,
         )
-
-    @property
-    def clipped_norm(self) -> float:
-        """Joint l2 norm of the clipped delta."""
-        squared = sum(
-            float(np.sum(np.square(values))) for values in self.values.values()
-        )
-        return math.sqrt(squared)
 
     @property
     def delta(self) -> dict[str, np.ndarray]:
@@ -159,51 +150,6 @@ def build_bucket_batches(
     ]
 
 
-def model_update_from_bucket(
-    model: SkipGramModel,
-    theta: ParameterSet,
-    bucket_pairs: np.ndarray,
-    batch_size: int,
-    learning_rate: float,
-    clip_bound: float,
-    clipping: str = "per_layer",
-    local_update: str = "sgd",
-    rng: RngLike = None,
-) -> BucketUpdate:
-    """Compute the clipped model delta for one data bucket.
-
-    ``theta`` is treated as **read-only**: all randomness is drawn here
-    (see :func:`build_bucket_batches`) and the model's kernel backend runs
-    the fused local-SGD + clipping pass as a pure function of the batches.
-
-    Args:
-        model: the skip-gram architecture (owns the kernel backend).
-        theta: the global parameters ``theta_t``.
-        bucket_pairs: ``(n, 2)`` (target, context) pairs of the bucket.
-        batch_size: pairs per local SGD batch (the paper's ``b``).
-        learning_rate: local SGD learning rate ``eta``.
-        clip_bound: the overall clipping magnitude ``C``.
-        clipping: ``"per_layer"`` (paper) or ``"global"``.
-        local_update: ``"sgd"`` = multi-batch local SGD (PLP, lines 17-19);
-            ``"gradient"`` = one gradient step over the whole bucket data
-            (the classic DP-SGD update, used by the baseline).
-        rng: randomness for batch shuffling and negative sampling.
-
-    Returns:
-        The clipped delta (sparse) plus local-training diagnostics.
-    """
-    if clipping not in ("per_layer", "global"):
-        raise ConfigError(f"unknown clipping mode {clipping!r}")
-    if local_update not in ("sgd", "gradient"):
-        raise ConfigError(f"unknown local_update mode {local_update!r}")
-    batches = build_bucket_batches(
-        model, bucket_pairs, batch_size, local_update=local_update, rng=rng
-    )
-    spec = _local_update_spec(model, learning_rate, clip_bound, clipping)
-    delta = model.backend.fused_bucket_update(theta, batches, spec)
-    return BucketUpdate.from_delta(delta)
-
-
 def model_updates_from_buckets(
     model: SkipGramModel,
     theta: ParameterSet,
@@ -217,13 +163,33 @@ def model_updates_from_buckets(
 ) -> list[BucketUpdate]:
     """Clipped model deltas for a chunk of buckets, in one backend call.
 
-    The chunk-level twin of :func:`model_update_from_bucket`: every
-    bucket's batches and negatives are drawn first (bucket ``i`` from
-    ``rngs[i]``, the same stream it would consume alone), then the
-    backend's :meth:`~repro.nn.backends.KernelBackend.fused_multi_bucket_update`
-    runs all buckets — batching the per-step compute across the chunk
-    where the backend supports it. For the reference backend this is
-    bit-for-bit a loop of single-bucket calls.
+    ``theta`` is treated as **read-only**. Every bucket's batches and
+    negatives are drawn first (bucket ``i`` from ``rngs[i]``, the same
+    stream it would consume alone; see :func:`build_bucket_batches`), then
+    the backend's
+    :meth:`~repro.nn.backends.KernelBackend.fused_multi_bucket_update`
+    runs all buckets as a pure function of those batches. A bucket's
+    delta does not depend on which chunk it runs in, so a one-bucket list
+    is the single-bucket case.
+
+    Args:
+        model: the skip-gram architecture (owns the kernel backend).
+        theta: the global parameters ``theta_t``.
+        bucket_pairs_list: per bucket, its ``(n, 2)`` (target, context)
+            pairs.
+        batch_size: pairs per local SGD batch (the paper's ``b``).
+        learning_rate: local SGD learning rate ``eta``.
+        clip_bound: the overall clipping magnitude ``C``.
+        clipping: ``"per_layer"`` (paper) or ``"global"``.
+        local_update: ``"sgd"`` = multi-batch local SGD (PLP, lines 17-19);
+            ``"gradient"`` = one gradient step over the whole bucket data
+            (the classic DP-SGD update, used by the baseline).
+        rngs: per bucket, randomness for batch shuffling and negative
+            sampling.
+
+    Returns:
+        One clipped delta (sparse) plus local-training diagnostics per
+        bucket, in bucket order.
     """
     if clipping not in ("per_layer", "global"):
         raise ConfigError(f"unknown clipping mode {clipping!r}")
@@ -249,8 +215,6 @@ def _local_update_spec(
         loss=model.loss_fn,
         loss_name=model.loss_name,
         num_locations=model.num_locations,
-        num_negatives=model.num_negatives,
-        negative_sharing=model.negative_sharing,
         learning_rate=learning_rate,
         clip_bound=clip_bound,
         clipping=clipping,

@@ -139,10 +139,6 @@ class TrainingEngine:
             priority follows that order.
         noise_schedule: optional per-step sigma schedule; ``None`` uses the
             config's constant ``noise_multiplier``.
-        start_step: step counter to resume from (0 = fresh run). When
-            resuming from a checkpoint, pass the checkpoint's step so the
-            derived per-step RNG streams continue where the original run
-            left off.
         observability: optional tracing/metrics bundle; attaching
             one never changes the training result (no RNG draws, no state
             mutation — wall-clock measurement only).
@@ -154,14 +150,12 @@ class TrainingEngine:
         executor: BucketExecutor | None = None,
         observers: Sequence[Observer] = (),
         noise_schedule: NoiseSchedule | None = None,
-        start_step: int = 0,
         observability: "Observability | None" = None,
     ) -> None:
         self.pipeline = pipeline
         self.executor = executor if executor is not None else SerialExecutor()
         self.observers = list(observers)
         self.noise_schedule = noise_schedule
-        self.start_step = int(start_step)
         self.observability = observability
 
     def run(self) -> str:
@@ -169,7 +163,6 @@ class TrainingEngine:
         pipeline = self.pipeline
         config = pipeline.config
         context = EngineContext(pipeline)
-        context.step = self.start_step
         # Without a bundle, a component-less handle: its spans are no-ops.
         obs = (
             self.observability

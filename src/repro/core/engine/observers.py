@@ -176,7 +176,7 @@ class JsonlMetricsObserver(Observer):
 
 
 class CheckpointObserver(Observer):
-    """Periodically saves a resumable checkpoint (theta + ledger state).
+    """Periodically saves a checkpoint: a snapshot of theta and the ledger.
 
     Saves every ``every`` steps and once more at stop (after any rollback,
     so the final checkpoint holds exactly the parameters the caller gets).

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Iterator
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,11 +54,6 @@ class TrainingHistory:
         """Privacy budget consumed by the end of training."""
         return self.steps[-1].epsilon_spent if self.steps else 0.0
 
-    @property
-    def total_wall_time(self) -> float:
-        """Sum of per-step wall times, in seconds."""
-        return sum(record.wall_time_seconds for record in self.steps)
-
     def losses(self) -> list[float]:
         """Per-step mean losses."""
         return [record.mean_loss for record in self.steps]
@@ -66,18 +61,3 @@ class TrainingHistory:
     def epsilons(self) -> list[float]:
         """Per-step cumulative epsilon values."""
         return [record.epsilon_spent for record in self.steps]
-
-    def as_rows(self) -> list[dict[str, Any]]:
-        """Step records as plain dicts (for tabular output)."""
-        return [
-            {
-                "step": record.step,
-                "loss": record.mean_loss,
-                "epsilon": record.epsilon_spent,
-                "sampled_users": record.num_sampled_users,
-                "buckets": record.num_buckets,
-                "unclipped_norm": record.mean_unclipped_norm,
-                "seconds": record.wall_time_seconds,
-            }
-            for record in self.steps
-        ]

@@ -41,12 +41,3 @@ def poisson_sample(
         return list(population)
     mask = generator.random(len(population)) < probability
     return [item for item, included in zip(population, mask) if included]
-
-
-def expected_sample_size(population_size: int, probability: float) -> float:
-    """The expected sample size ``m = q * N``."""
-    if population_size < 0:
-        raise ConfigError(f"population_size must be >= 0, got {population_size}")
-    if not 0.0 <= probability <= 1.0:
-        raise ConfigError(f"probability must be in [0, 1], got {probability}")
-    return population_size * probability

@@ -125,35 +125,3 @@ class StepDecaySchedule(NoiseSchedule):
         self._validate_step(step)
         drops = (step - 1) // self.period
         return max(self.floor, self.start_sigma * self.factor**drops)
-
-
-def make_schedule(name: str, base_sigma: float, **kwargs) -> NoiseSchedule:
-    """Factory: ``"constant"``, ``"linear"``, ``"exponential"``, ``"step"``.
-
-    Args:
-        name: schedule family.
-        base_sigma: the starting sigma (for "constant", the only sigma).
-        **kwargs: family-specific parameters (see the schedule classes).
-    """
-    if name == "constant":
-        return ConstantSchedule(sigma=base_sigma)
-    if name == "linear":
-        return LinearDecaySchedule(
-            start_sigma=base_sigma,
-            end_sigma=kwargs.get("end_sigma", base_sigma / 2.0),
-            decay_steps=kwargs.get("decay_steps", 200),
-        )
-    if name == "exponential":
-        return ExponentialDecaySchedule(
-            start_sigma=base_sigma,
-            decay_rate=kwargs.get("decay_rate", 0.995),
-            floor=kwargs.get("floor", base_sigma / 4.0),
-        )
-    if name == "step":
-        return StepDecaySchedule(
-            start_sigma=base_sigma,
-            period=kwargs.get("period", 100),
-            factor=kwargs.get("factor", 0.7),
-            floor=kwargs.get("floor", base_sigma / 4.0),
-        )
-    raise ConfigError(f"unknown schedule {name!r}")

@@ -121,19 +121,3 @@ def session_summary(
         mean_duration_minutes=float(np.mean(durations)) / 60.0,
         repeat_visit_rate=repeats / transitions if transitions else 0.0,
     )
-
-
-def location_coverage_per_user(dataset: CheckinDataset) -> float:
-    """Mean fraction of the POI universe each user visits.
-
-    The paper cites check-in densities "around 0.1%" as the sparsity
-    challenge; this is the same quantity as
-    :meth:`CheckinDataset.density`, reported per user for readability.
-    """
-    num_locations = dataset.num_locations
-    if num_locations == 0:
-        raise DataError("dataset has no locations")
-    coverages = [
-        len(set(history.locations())) / num_locations for history in dataset
-    ]
-    return float(np.mean(coverages))

@@ -94,24 +94,6 @@ class SyntheticConfig:
     bbox: tuple[float, float, float, float] = TOKYO_BBOX
     cluster_stddev_degrees: float = 0.008
 
-    @classmethod
-    def paper_scale(cls) -> "SyntheticConfig":
-        """A configuration matching the paper's dataset dimensions.
-
-        4,602 users / 5,069 POIs / ~160 check-ins per user over 22 months
-        (Section 5.1). Generating and training on it takes hours rather
-        than minutes; the benchmark suite's default profile keeps the user
-        scale but shrinks the POI universe instead.
-        """
-        return cls(
-            num_users=4602,
-            num_locations=5069,
-            num_clusters=80,
-            mean_checkins_per_user=160.0,
-            checkins_sigma=1.0,
-            months=22.0,
-        )
-
     def __post_init__(self) -> None:
         if self.num_users < 1:
             raise ConfigError(f"num_users must be >= 1, got {self.num_users}")

@@ -261,10 +261,12 @@ def load_recommender(
 # -- training checkpoints ------------------------------------------------------
 #
 # Unlike the deployable artifact above (embeddings only), a training
-# checkpoint holds the *resumable* state of a private run: the full
-# parameter set theta and the privacy ledger's recorded steps. Restoring
-# the ledger replays its entries through a fresh accountant, so the
-# resumed run continues from the exact accumulated RDP curve.
+# checkpoint is a snapshot of theta and the ledger: the full parameter
+# set and the privacy ledger's recorded steps. It is stored recovery
+# state; no entry point resumes training from it (``fit`` always builds a
+# fresh model and ledger). Restoring the ledger replays its entries
+# through a fresh accountant, so the rebuilt ledger reports the exact
+# accumulated RDP curve.
 
 _CHECKPOINT_VERSION = 1
 _PARAM_PREFIX = "param__"
@@ -331,7 +333,7 @@ def save_training_checkpoint(
     step: int,
     ledger=None,
 ) -> None:
-    """Save a resumable training checkpoint (theta + ledger state).
+    """Save a training checkpoint: a snapshot of theta and the ledger.
 
     Args:
         path: output ``.npz`` path.

@@ -16,9 +16,10 @@ default) produces ``dloss/dz``, which back-propagates into exactly
 sparsity that keeps gradient norms small enough for aggressive clipping
 (the paper's key observation in Section 4.1).
 
-The model owns the *architecture* (parameters, hyper-parameters, negative
-sampling); the array math of forward, backward, and local updates lives in
-a swappable :class:`~repro.nn.backends.KernelBackend`. The default
+The model owns the *architecture* (parameters, hyper-parameters, the loss
+and negative sampling). The array math of forward, backward and local
+updates runs in its swappable :class:`~repro.nn.backends.KernelBackend`,
+one call per chunk of buckets (:mod:`repro.core.bucket`). The default
 ``"reference"`` backend reproduces the historical float64 implementation
 bit for bit; ``"fast"`` trades that for float32 fused bucket kernels (see
 ``docs/kernels.md``).
@@ -30,7 +31,6 @@ import numpy as np
 
 from repro.exceptions import ConfigError
 from repro.nn.backends import BIAS, CONTEXT, EMBEDDING, KernelBackend, get_backend
-from repro.nn.functional import normalize_rows, scatter_add_rows
 from repro.nn.initializers import uniform_embedding_init, zeros_init
 from repro.nn.losses import CandidateSamplingLoss, make_loss
 from repro.nn.parameters import ParameterSet
@@ -116,190 +116,4 @@ class SkipGramModel:
         generator = ensure_rng(rng)
         return generator.integers(
             0, self.num_locations, size=(batch, self.num_negatives), dtype=np.int64
-        )
-
-    # -- forward / backward (delegated to the kernel backend) -------------------
-
-    def candidate_logits(
-        self, params: ParameterSet, targets: np.ndarray, candidates: np.ndarray
-    ) -> np.ndarray:
-        """Logits ``(batch, 1 + neg)`` for the given candidate token matrix."""
-        return self.backend.candidate_logits(params, targets, candidates)
-
-    def loss_and_sparse_grads(
-        self,
-        params: ParameterSet,
-        targets: np.ndarray,
-        contexts: np.ndarray,
-        negatives: np.ndarray,
-    ) -> tuple[float, dict]:
-        """Mean batch loss and the sparse gradient pieces.
-
-        Returns:
-            ``(loss, pieces)`` where ``pieces`` holds everything needed to
-            scatter the gradient: target rows + their dense gradients, and
-            candidate rows + their dense gradients for ``Wc`` and ``b``.
-        """
-        targets = np.asarray(targets, dtype=np.int64)
-        contexts = np.asarray(contexts, dtype=np.int64)
-        negatives = np.asarray(negatives, dtype=np.int64)
-        if negatives.shape != (targets.shape[0], self.num_negatives):
-            raise ConfigError(
-                f"negatives must have shape ({targets.shape[0]}, {self.num_negatives}),"
-                f" got {negatives.shape}"
-            )
-        return self.backend.loss_and_sparse_grads(
-            self._loss, params, targets, contexts, negatives
-        )
-
-    def dense_gradients(
-        self,
-        params: ParameterSet,
-        targets: np.ndarray,
-        contexts: np.ndarray,
-        negatives: np.ndarray,
-    ) -> tuple[float, dict[str, np.ndarray]]:
-        """Full-shape gradients of the mean batch loss (for checks/analysis).
-
-        Returns:
-            ``(loss, grads)`` with ``grads`` shaped like the parameters.
-        """
-        loss, pieces = self.loss_and_sparse_grads(params, targets, contexts, negatives)
-        grads = {
-            EMBEDDING: np.zeros_like(params[EMBEDDING]),
-            CONTEXT: np.zeros_like(params[CONTEXT]),
-            BIAS: np.zeros_like(params[BIAS]),
-        }
-        candidates_flat = pieces["candidates"].ravel()
-        batch, width = pieces["candidates"].shape
-        scatter_add_rows(grads[EMBEDDING], pieces["targets"], pieces["grad_hidden"])
-        scatter_add_rows(
-            grads[CONTEXT],
-            candidates_flat,
-            pieces["grad_context_rows"].reshape(batch * width, -1),
-        )
-        scatter_add_rows(
-            grads[BIAS], candidates_flat, pieces["grad_bias_rows"].ravel()
-        )
-        return loss, grads
-
-    def apply_sparse_update(
-        self, params: ParameterSet, pieces: dict, learning_rate: float
-    ) -> None:
-        """One in-place SGD step from sparse gradient pieces.
-
-        Equivalent to ``params -= lr * dense_gradients`` but touches only the
-        rows that received gradient (the candidate rows of ``Wc``/``b`` and
-        the batch's target rows of ``W``).
-        """
-        self.backend.apply_sparse_update(params, pieces, learning_rate)
-
-    # -- shared-negative fast path ----------------------------------------------
-
-    def loss_and_shared_grads(
-        self,
-        params: ParameterSet,
-        targets: np.ndarray,
-        contexts: np.ndarray,
-        negatives: np.ndarray,
-    ) -> tuple[float, dict]:
-        """Loss and sparse gradients with one negative set shared batch-wide.
-
-        Args:
-            params: current parameters.
-            targets: ``(batch,)`` target tokens.
-            contexts: ``(batch,)`` positive context tokens.
-            negatives: ``(neg,)`` shared negative tokens.
-
-        Returns:
-            ``(loss, pieces)`` where ``pieces["shared"]`` is True and the
-            gradient pieces are laid out for :meth:`apply_sparse_update`.
-        """
-        targets = np.asarray(targets, dtype=np.int64)
-        contexts = np.asarray(contexts, dtype=np.int64)
-        negatives = np.asarray(negatives, dtype=np.int64).ravel()
-        if negatives.shape != (self.num_negatives,):
-            raise ConfigError(
-                f"shared negatives must have shape ({self.num_negatives},), "
-                f"got {negatives.shape}"
-            )
-        return self.backend.loss_and_shared_grads(
-            self._loss, params, targets, contexts, negatives
-        )
-
-    def sgd_step(
-        self,
-        params: ParameterSet,
-        targets: np.ndarray,
-        contexts: np.ndarray,
-        learning_rate: float,
-        rng: RngLike = None,
-    ) -> float:
-        """One SGD step on a batch (samples negatives internally).
-
-        This is line 19 of Algorithm 1:
-        ``Phi <- Phi - eta * (1/|b|) * sum grad J``.
-
-        Returns:
-            The mean batch loss before the update.
-        """
-        generator = ensure_rng(rng)
-        if self.negative_sharing == "batch":
-            negatives = generator.integers(
-                0, self.num_locations, size=self.num_negatives, dtype=np.int64
-            )
-            loss, pieces = self.loss_and_shared_grads(
-                params, targets, contexts, negatives
-            )
-        else:
-            negatives = self.sample_negatives(len(targets), generator)
-            loss, pieces = self.loss_and_sparse_grads(
-                params, targets, contexts, negatives
-            )
-        self.apply_sparse_update(params, pieces, learning_rate)
-        return loss
-
-    # -- inference --------------------------------------------------------------
-
-    def normalized_embeddings(self) -> np.ndarray:
-        """Unit-l2-normalized embedding matrix (Section 3.2's normalization)."""
-        return normalize_rows(self.params[EMBEDDING])
-
-    def evaluate_loss(
-        self,
-        pairs: np.ndarray,
-        rng: RngLike = None,
-        max_pairs: int | None = None,
-    ) -> float:
-        """Mean candidate-sampling loss over ``pairs`` without updating.
-
-        Args:
-            pairs: ``(n, 2)`` target/context token pairs.
-            rng: randomness for the negative samples.
-            max_pairs: evaluate on a random subsample of at most this many
-                pairs (``None`` for all).
-        """
-        pairs = np.asarray(pairs, dtype=np.int64)
-        if pairs.shape[0] == 0:
-            return float("nan")
-        generator = ensure_rng(rng)
-        if max_pairs is not None and pairs.shape[0] > max_pairs:
-            index = generator.choice(pairs.shape[0], size=max_pairs, replace=False)
-            pairs = pairs[index]
-        negatives = self.sample_negatives(pairs.shape[0], generator)
-        loss, _ = self.loss_and_sparse_grads(
-            self.params, pairs[:, 0], pairs[:, 1], negatives
-        )
-        return loss
-
-    def clone_architecture(self, rng: RngLike = None) -> "SkipGramModel":
-        """A freshly initialized model with identical hyper-parameters."""
-        return SkipGramModel(
-            num_locations=self.num_locations,
-            embedding_dim=self.embedding_dim,
-            num_negatives=self.num_negatives,
-            loss=self.loss_name,
-            negative_sharing=self.negative_sharing,
-            rng=rng,
-            backend=self.backend,
         )

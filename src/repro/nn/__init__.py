@@ -8,14 +8,8 @@ DP-Adam server optimizer.
 """
 
 from repro.nn.parameters import ParameterSet
-from repro.nn.initializers import (
-    normal_init,
-    uniform_embedding_init,
-    xavier_uniform_init,
-    zeros_init,
-)
+from repro.nn.initializers import uniform_embedding_init, zeros_init
 from repro.nn.functional import (
-    log_sigmoid,
     log_softmax,
     logsumexp,
     one_hot,
@@ -33,13 +27,10 @@ from repro.nn.optimizers import DPAdam
 __all__ = [
     "ParameterSet",
     "uniform_embedding_init",
-    "xavier_uniform_init",
-    "normal_init",
     "zeros_init",
     "softmax",
     "log_softmax",
     "sigmoid",
-    "log_sigmoid",
     "logsumexp",
     "one_hot",
     "SampledSoftmaxLoss",

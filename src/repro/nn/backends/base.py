@@ -2,10 +2,10 @@
 
 Algorithm 1 spends nearly all of its wall time in the per-bucket local SGD.
 This module defines the seam that makes that compute path swappable: a
-:class:`KernelBackend` covers the model's forward pass, loss + sparse
-gradients, the sparse SGD step, and — the hot path — a **fused bucket
-update** that runs a bucket's whole local-SGD pass plus the delta clipping
-in one call, without materializing intermediate dense tensors.
+:class:`KernelBackend` implements one compute method,
+:meth:`~KernelBackend.fused_multi_bucket_update`, which runs the local-SGD
+pass plus the delta clipping of every bucket in a chunk (each bucket from
+the same ``theta``) without materializing intermediate dense tensors.
 
 Contract every backend must honor (enforced by the cross-backend
 equivalence suite in ``tests/nn/test_backends.py``):
@@ -85,8 +85,6 @@ class LocalUpdateSpec:
         loss_name: loss identifier (lets backends build their own kernel
             form of the same loss).
         num_locations: vocabulary size ``L``.
-        num_negatives: negatives per positive, the paper's ``neg``.
-        negative_sharing: ``"batch"`` or ``"per_pair"``.
         learning_rate: local SGD ``eta``.
         clip_bound: the overall clipping magnitude ``C``.
         clipping: ``"per_layer"`` (paper) or ``"global"``.
@@ -95,8 +93,6 @@ class LocalUpdateSpec:
     loss: CandidateSamplingLoss
     loss_name: str
     num_locations: int
-    num_negatives: int
-    negative_sharing: str
     learning_rate: float
     clip_bound: float
     clipping: str
@@ -167,11 +163,12 @@ def clip_bucket_delta(
 class KernelBackend(abc.ABC):
     """Swappable compute backend for skip-gram training.
 
-    Subclasses implement the forward pass, loss + sparse gradients, the
-    sparse SGD step, and the fused per-bucket update. The step-level
-    aggregate/noise helpers have shared float64 implementations here
-    (overridable, but the RNG draw order of :meth:`add_noise` is part of
-    the cross-backend contract and must not change).
+    A backend implements one compute method,
+    :meth:`fused_multi_bucket_update` — Algorithm 1 lines 15-22 for every
+    bucket of a chunk. The step-level aggregate/noise helpers have shared
+    float64 implementations here (overridable, but the RNG draw order of
+    :meth:`add_noise` is part of the cross-backend contract and must not
+    change).
     """
 
     #: Registry/config name of the backend.
@@ -180,78 +177,25 @@ class KernelBackend(abc.ABC):
     #: precision contract; clipping and aggregation stay float64).
     accumulation_dtype: ClassVar[Any] = np.float64
 
-    # -- forward / loss / gradients ----------------------------------------
-
     @abc.abstractmethod
-    def candidate_logits(
-        self, params: ParameterSet, targets: np.ndarray, candidates: np.ndarray
-    ) -> np.ndarray:
-        """Logits ``(batch, 1 + neg)`` for a candidate token matrix."""
-
-    @abc.abstractmethod
-    def loss_and_sparse_grads(
-        self,
-        loss: CandidateSamplingLoss,
-        params: ParameterSet,
-        targets: np.ndarray,
-        contexts: np.ndarray,
-        negatives: np.ndarray,
-    ) -> tuple[float, dict]:
-        """Mean batch loss + sparse gradient pieces (per-pair negatives)."""
-
-    @abc.abstractmethod
-    def loss_and_shared_grads(
-        self,
-        loss: CandidateSamplingLoss,
-        params: ParameterSet,
-        targets: np.ndarray,
-        contexts: np.ndarray,
-        negatives: np.ndarray,
-    ) -> tuple[float, dict]:
-        """Mean batch loss + sparse gradient pieces (shared negatives)."""
-
-    @abc.abstractmethod
-    def apply_sparse_update(
-        self, params: ParameterSet, pieces: dict, learning_rate: float
-    ) -> None:
-        """One in-place SGD step from sparse gradient pieces."""
-
-    # -- the fused hot path -------------------------------------------------
-
-    @abc.abstractmethod
-    def fused_bucket_update(
-        self,
-        theta: ParameterSet,
-        batches: Sequence[BucketBatch],
-        spec: LocalUpdateSpec,
-    ) -> BucketDelta:
-        """One bucket's local SGD plus clipping, fused (lines 15-22).
-
-        ``theta`` is read-only; the returned delta is already clipped (via
-        :func:`clip_bucket_delta` semantics) and carries float64 values.
-        """
-
     def fused_multi_bucket_update(
         self,
         theta: ParameterSet,
         bucket_batches: Sequence[Sequence[BucketBatch]],
         spec: LocalUpdateSpec,
     ) -> list[BucketDelta]:
-        """All of a chunk's buckets in one call, in bucket order.
+        """Each bucket's local SGD plus clipping, in bucket order.
 
         Buckets are independent — each starts local SGD from the same
-        ``theta`` — so the default is simply :meth:`fused_bucket_update`
-        per bucket. Backends may override to batch the per-step compute
-        *across* buckets (the fast backend does), under the same delta
-        contract: element ``i`` must stay within the backend's documented
-        tolerance of ``fused_bucket_update(theta, bucket_batches[i],
-        spec)``, and the ledger-relevant outputs (clip bound handling,
-        delta rows) must be identical however buckets are chunked.
+        ``theta``, which is read-only — so a backend may run them one by
+        one (the reference does) or batch the per-step compute *across*
+        them (the fast backend does). Element ``i`` is bucket ``i``'s
+        delta, already clipped via :func:`clip_bucket_delta` semantics,
+        with float64 values; an empty bucket gets
+        :func:`empty_bucket_delta`. The result must not depend on how the
+        executor chunks buckets: the same bucket gives the same bits
+        alone or in any chunk.
         """
-        return [
-            self.fused_bucket_update(theta, batches, spec)
-            for batches in bucket_batches
-        ]
 
     # -- step-level helpers (shared float64 implementations) ----------------
 

@@ -29,7 +29,7 @@ Five ideas, all classic word2vec-at-scale techniques:
    ``exp`` (sampled softmax needs no sigmoid).
 
 One path runs every bucket. :func:`_compile_chunk` compiles a chunk of
-buckets (a single bucket is a chunk of one) into groups of same-shape
+buckets into groups of same-shape
 local steps, :func:`_execute_chunk` runs each group as batched math with
 the loss from one :data:`~repro.nn.losses.LossKernel` — every loss, shared
 or per-pair negatives — and :func:`_finalize_chunk` promotes and clips
@@ -53,11 +53,11 @@ from repro.nn.backends.base import (
     TENSOR_NAMES,
     BucketBatch,
     BucketDelta,
+    KernelBackend,
     LocalUpdateSpec,
     clip_bucket_delta,
     empty_bucket_delta,
 )
-from repro.nn.backends.reference import ReferenceBackend
 from repro.nn.functional import SigmoidTable, stable_argsort
 from repro.nn.losses import LossKernel, make_loss_kernel
 
@@ -107,25 +107,16 @@ def _unique_inverse(keys: np.ndarray, key_bound: int) -> tuple[np.ndarray, np.nd
     return ordered[first], inverse
 
 
-class FastBackend(ReferenceBackend):
-    """Compact float32 fused kernels; non-fused entry points stay exact.
+class FastBackend(KernelBackend):
+    """Compact float32 fused kernels over a whole chunk of buckets.
 
-    Only the hot path (:meth:`fused_bucket_update`) differs from the
-    reference — forward/loss/gradient calls outside bucket training (loss
-    evaluation, serving) keep the float64 reference math.
+    Clipping, aggregation and noise stay the shared float64 code of
+    :mod:`repro.nn.backends.base`, so only the local-SGD arithmetic
+    differs from the reference.
     """
 
     name = "fast"
     accumulation_dtype = np.float32
-
-    def fused_bucket_update(
-        self,
-        theta,
-        batches: Sequence[BucketBatch],
-        spec: LocalUpdateSpec,
-    ) -> BucketDelta:
-        """A chunk of one (see :meth:`fused_multi_bucket_update`)."""
-        return self.fused_multi_bucket_update(theta, [batches], spec)[0]
 
     def fused_multi_bucket_update(
         self,
@@ -142,8 +133,7 @@ class FastBackend(ReferenceBackend):
         per-batch kernels over the whole chunk. Same-shape steps are
         grouped so each GEMM slice has chunk-independent dimensions,
         keeping the result identical however the executor chunks buckets
-        across workers. Every loss and both negative layouts run here; a
-        single bucket is a chunk of one.
+        across workers. Every loss and both negative layouts run here.
         """
         results: list[BucketDelta | None] = [
             None if batches else empty_bucket_delta(theta)

@@ -5,15 +5,14 @@ implementation performed — same dtypes, same op order, same segment-sum
 order — so a model trained through this backend is bit-identical to
 historical results. The other backends are validated against it.
 
-The fused bucket update compiles each bucket into a :class:`_BucketPlan`
+:meth:`ReferenceBackend.fused_multi_bucket_update` runs the buckets of a
+chunk one by one. Each bucket is compiled into a :class:`_BucketPlan`
 before its SGD loop. :mod:`repro.core.bucket` draws every batch and
 negative before a backend runs, so every row a bucket reads is known up
 front: the plan gathers that read set once, remaps every batch into it,
 and compiles every batch's row scatters in one vectorized pass. The loop
-then runs the same ufunc sequence as the per-step API
-(:meth:`ReferenceBackend.loss_and_shared_grads` /
-:meth:`~ReferenceBackend.loss_and_sparse_grads` followed by
-:meth:`~ReferenceBackend.apply_sparse_update`) with no per-batch
+then runs one SGD step per batch — :func:`_shared_step` for a batch-wide
+negative set, :func:`_per_pair_step` otherwise — with no per-batch
 ``np.unique``, argsort or input coercion.
 """
 
@@ -38,16 +37,6 @@ from repro.nn.backends.base import (
 from repro.nn.functional import RowScatter, plan_row_scatters, unique_sorted
 from repro.nn.losses import CandidateSamplingLoss
 from repro.nn.parameters import ParameterSet
-
-
-def _scatter_rows(pieces: dict) -> list[np.ndarray]:
-    """The row arrays :meth:`ReferenceBackend.apply_sparse_update` scatters
-    into, in order: targets, then contexts and negatives (shared) or the
-    flattened candidates (per pair, used for both ``Wc`` and ``b``).
-    :class:`_BucketPlan` compiles the same segments for every batch."""
-    if pieces.get("shared"):
-        return [pieces["targets"], pieces["contexts"], pieces["negatives"]]
-    return [pieces["targets"], pieces["candidates"].ravel()]
 
 
 class _BucketPlan:
@@ -134,159 +123,133 @@ class _BucketPlan:
         return rows, values
 
 
-class ReferenceBackend(KernelBackend):
-    """Exact float64 kernels — the semantics every other backend must match.
+def _per_pair_step(
+    loss: CandidateSamplingLoss,
+    params: ParameterSet,
+    targets: np.ndarray,
+    contexts: np.ndarray,
+    negatives: np.ndarray,
+    scatters: Sequence[RowScatter],
+    learning_rate: float,
+) -> float:
+    """One in-place SGD step with per-pair negatives ``(batch, neg)``;
+    returns the mean batch loss before the step.
 
-    The per-step entry points take int64 row arrays as given (the model
-    layer coerces and validates its inputs).
+    ``scatters`` are the batch's compiled row scatters: targets, then the
+    flattened candidates (used for both ``Wc`` and ``b``).
     """
+    candidates = np.concatenate([contexts[:, None], negatives], axis=1)
+    hidden = params[EMBEDDING][targets]  # (batch, dim)
+    context_rows = params[CONTEXT][candidates]  # (batch, 1+neg, dim)
+    logits = (
+        np.einsum("bd,bkd->bk", hidden, context_rows) + params[BIAS][candidates]
+    )
+
+    output = loss.value_and_grad(logits)
+    grad_logits = output.grad_logits  # already divided by batch size
+
+    # dL/dWc[cand] = grad_logits * h ; dL/db[cand] = grad_logits
+    grad_context_rows = grad_logits[:, :, None] * hidden[:, None, :]
+    # dL/dh = sum_k grad_logits[k] * Wc[cand_k] ; dL/dW[target] = dL/dh
+    grad_hidden = np.einsum("bk,bkd->bd", grad_logits, context_rows)
+
+    scatters[0].add(params[EMBEDDING], -learning_rate * grad_hidden)
+    batch, width = candidates.shape
+    scatters[1].add(
+        params[CONTEXT],
+        (-learning_rate * grad_context_rows).reshape(batch * width, -1),
+    )
+    scatters[1].add(params[BIAS], (-learning_rate * grad_logits).ravel())
+    return output.loss
+
+
+def _shared_step(
+    loss: CandidateSamplingLoss,
+    params: ParameterSet,
+    targets: np.ndarray,
+    contexts: np.ndarray,
+    negatives: np.ndarray,
+    scatters: Sequence[RowScatter],
+    learning_rate: float,
+) -> float:
+    """One in-place SGD step with one negative set ``(neg,)`` shared by
+    the batch; returns the mean batch loss before the step.
+
+    ``scatters`` are the batch's compiled row scatters: targets, contexts,
+    negatives.
+    """
+    context_matrix = params[CONTEXT]
+    bias = params[BIAS]
+    hidden = params[EMBEDDING][targets]  # (batch, dim)
+    context_rows = context_matrix[contexts]  # (batch, dim)
+    negative_rows = context_matrix[negatives]  # (neg, dim)
+
+    positive_logits = np.einsum("bd,bd->b", hidden, context_rows) + bias[contexts]
+    negative_logits = hidden @ negative_rows.T + bias[negatives]
+    logits = np.concatenate([positive_logits[:, None], negative_logits], axis=1)
+    output = loss.value_and_grad(logits)
+    grad_logits = output.grad_logits  # (batch, 1 + neg), already / batch
+
+    grad_positive = grad_logits[:, 0]  # (batch,)
+    grad_negative = grad_logits[:, 1:]  # (batch, neg)
+
+    # dL/dh = g_pos * Wc[ctx] + g_neg @ Wc[negs]
+    grad_hidden = (
+        grad_positive[:, None] * context_rows + grad_negative @ negative_rows
+    )
+    grad_context_pos = grad_positive[:, None] * hidden  # (batch, dim)
+    grad_context_neg = grad_negative.T @ hidden  # (neg, dim)
+    grad_bias_neg = grad_negative.sum(axis=0)  # (neg,)
+
+    scatters[0].add(params[EMBEDDING], -learning_rate * grad_hidden)
+    scatters[1].add(context_matrix, -learning_rate * grad_context_pos)
+    scatters[2].add(context_matrix, -learning_rate * grad_context_neg)
+    bias -= learning_rate * np.bincount(
+        contexts, weights=grad_positive, minlength=bias.shape[0]
+    )
+    bias -= learning_rate * np.bincount(
+        negatives, weights=grad_bias_neg, minlength=bias.shape[0]
+    )
+    return output.loss
+
+
+def _bucket_update(
+    theta: ParameterSet, batches: Sequence[BucketBatch], spec: LocalUpdateSpec
+) -> BucketDelta:
+    """One bucket's local SGD plus clipping (Algorithm 1, lines 15-22)."""
+    if not batches:
+        return empty_bucket_delta(theta)
+    plan = _BucketPlan(theta, batches)
+    work = plan.params
+    losses: list[float] = []
+    for shared, targets, contexts, negatives, scatters in plan.steps:
+        step = _shared_step if shared else _per_pair_step
+        loss = step(spec.loss, work, targets, contexts, negatives, scatters, spec.learning_rate)
+        losses.append(loss)
+
+    rows, values = plan.collect_delta(theta)
+    unclipped_norm = clip_bucket_delta(values, spec.clip_bound, spec.clipping)
+    return BucketDelta(
+        rows=rows,
+        values=values,
+        shapes={name: theta[name].shape for name in TENSOR_NAMES},
+        mean_loss=float(np.mean(losses)),
+        num_batches=len(losses),
+        unclipped_norm=unclipped_norm,
+    )
+
+
+class ReferenceBackend(KernelBackend):
+    """Exact float64 kernels — the semantics every other backend must match."""
 
     name = "reference"
     accumulation_dtype = np.float64
 
-    # -- forward / loss / gradients ----------------------------------------
-
-    def candidate_logits(
-        self, params: ParameterSet, targets: np.ndarray, candidates: np.ndarray
-    ) -> np.ndarray:
-        hidden = params[EMBEDDING][targets]  # (batch, dim)
-        context_rows = params[CONTEXT][candidates]  # (batch, 1+neg, dim)
-        logits = np.einsum("bd,bkd->bk", hidden, context_rows)
-        logits += params[BIAS][candidates]
-        return logits
-
-    def loss_and_sparse_grads(
-        self,
-        loss: CandidateSamplingLoss,
-        params: ParameterSet,
-        targets: np.ndarray,
-        contexts: np.ndarray,
-        negatives: np.ndarray,
-    ) -> tuple[float, dict]:
-        candidates = np.concatenate([contexts[:, None], negatives], axis=1)
-        hidden = params[EMBEDDING][targets]  # (batch, dim)
-        context_rows = params[CONTEXT][candidates]  # (batch, 1+neg, dim)
-        logits = (
-            np.einsum("bd,bkd->bk", hidden, context_rows) + params[BIAS][candidates]
-        )
-
-        output = loss.value_and_grad(logits)
-        grad_logits = output.grad_logits  # already divided by batch size
-
-        # dL/dWc[cand] = grad_logits * h ; dL/db[cand] = grad_logits
-        grad_context_rows = grad_logits[:, :, None] * hidden[:, None, :]
-        # dL/dh = sum_k grad_logits[k] * Wc[cand_k] ; dL/dW[target] = dL/dh
-        grad_hidden = np.einsum("bk,bkd->bd", grad_logits, context_rows)
-
-        pieces = {
-            "targets": targets,
-            "grad_hidden": grad_hidden,
-            "candidates": candidates,
-            "grad_context_rows": grad_context_rows,
-            "grad_bias_rows": grad_logits,
-        }
-        return output.loss, pieces
-
-    def loss_and_shared_grads(
-        self,
-        loss: CandidateSamplingLoss,
-        params: ParameterSet,
-        targets: np.ndarray,
-        contexts: np.ndarray,
-        negatives: np.ndarray,
-    ) -> tuple[float, dict]:
-        context_matrix = params[CONTEXT]
-        bias = params[BIAS]
-        hidden = params[EMBEDDING][targets]  # (batch, dim)
-        context_rows = context_matrix[contexts]  # (batch, dim)
-        negative_rows = context_matrix[negatives]  # (neg, dim)
-
-        positive_logits = np.einsum("bd,bd->b", hidden, context_rows) + bias[contexts]
-        negative_logits = hidden @ negative_rows.T + bias[negatives]
-        logits = np.concatenate([positive_logits[:, None], negative_logits], axis=1)
-        output = loss.value_and_grad(logits)
-        grad_logits = output.grad_logits  # (batch, 1 + neg), already / batch
-
-        grad_positive = grad_logits[:, 0]  # (batch,)
-        grad_negative = grad_logits[:, 1:]  # (batch, neg)
-
-        # dL/dh = g_pos * Wc[ctx] + g_neg @ Wc[negs]
-        grad_hidden = (
-            grad_positive[:, None] * context_rows + grad_negative @ negative_rows
-        )
-        pieces = {
-            "shared": True,
-            "targets": targets,
-            "grad_hidden": grad_hidden,
-            "contexts": contexts,
-            "grad_context_pos": grad_positive[:, None] * hidden,  # (batch, dim)
-            "grad_bias_pos": grad_positive,
-            "negatives": negatives,
-            "grad_context_neg": grad_negative.T @ hidden,  # (neg, dim)
-            "grad_bias_neg": grad_negative.sum(axis=0),  # (neg,)
-        }
-        return output.loss, pieces
-
-    def apply_sparse_update(
-        self,
-        params: ParameterSet,
-        pieces: dict,
-        learning_rate: float,
-        scatters: Sequence[RowScatter] | None = None,
-    ) -> None:
-        """One in-place SGD step; ``scatters`` are the batch's compiled
-        row scatters (built from ``pieces`` when not given)."""
-        if scatters is None:
-            scatters = plan_row_scatters(_scatter_rows(pieces))
-        scatters[0].add(params[EMBEDDING], -learning_rate * pieces["grad_hidden"])
-        if pieces.get("shared"):
-            scatters[1].add(params[CONTEXT], -learning_rate * pieces["grad_context_pos"])
-            scatters[2].add(params[CONTEXT], -learning_rate * pieces["grad_context_neg"])
-            bias = params[BIAS]
-            bias -= learning_rate * np.bincount(
-                pieces["contexts"],
-                weights=pieces["grad_bias_pos"],
-                minlength=bias.shape[0],
-            )
-            bias -= learning_rate * np.bincount(
-                pieces["negatives"],
-                weights=pieces["grad_bias_neg"],
-                minlength=bias.shape[0],
-            )
-            return
-        batch, width = pieces["candidates"].shape
-        scatters[1].add(
-            params[CONTEXT],
-            (-learning_rate * pieces["grad_context_rows"]).reshape(batch * width, -1),
-        )
-        scatters[1].add(params[BIAS], (-learning_rate * pieces["grad_bias_rows"]).ravel())
-
-    # -- the fused hot path -------------------------------------------------
-
-    def fused_bucket_update(
+    def fused_multi_bucket_update(
         self,
         theta: ParameterSet,
-        batches: Sequence[BucketBatch],
+        bucket_batches: Sequence[Sequence[BucketBatch]],
         spec: LocalUpdateSpec,
-    ) -> BucketDelta:
-        if not batches:
-            return empty_bucket_delta(theta)
-        plan = _BucketPlan(theta, batches)
-        work = plan.params
-        losses: list[float] = []
-        for shared, targets, contexts, negatives, scatters in plan.steps:
-            grads = self.loss_and_shared_grads if shared else self.loss_and_sparse_grads
-            loss, pieces = grads(spec.loss, work, targets, contexts, negatives)
-            self.apply_sparse_update(work, pieces, spec.learning_rate, scatters)
-            losses.append(loss)
-
-        rows, values = plan.collect_delta(theta)
-        unclipped_norm = clip_bucket_delta(values, spec.clip_bound, spec.clipping)
-        return BucketDelta(
-            rows=rows,
-            values=values,
-            shapes={name: theta[name].shape for name in TENSOR_NAMES},
-            mean_loss=float(np.mean(losses)),
-            num_batches=len(losses),
-            unclipped_norm=unclipped_norm,
-        )
+    ) -> list[BucketDelta]:
+        """Each bucket in turn, through its own compiled plan."""
+        return [_bucket_update(theta, batches, spec) for batches in bucket_batches]

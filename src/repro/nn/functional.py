@@ -54,12 +54,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def log_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Stable ``log(sigmoid(x)) = -log(1 + exp(-x))``."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))), x - np.log1p(np.exp(-np.abs(x))))
-
-
 def one_hot(indices: np.ndarray, depth: int) -> np.ndarray:
     """One-hot encode integer ``indices`` into vectors of length ``depth``.
 
@@ -173,26 +167,6 @@ def plan_row_scatters(segments: Sequence[np.ndarray]) -> list[RowScatter]:
     ]
 
 
-def scatter_add_rows(matrix: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
-    """In-place ``matrix[rows] += values`` with duplicate rows summed.
-
-    The updates of each duplicated row are summed first, in their original
-    order, and the sum is added to ``matrix`` once (:class:`RowScatter`).
-    This equals ``np.add.at(matrix, rows, values)`` only up to summation
-    order: ``np.add.at`` adds each duplicate into the matrix in turn, so
-    the two can differ in the last bits.
-
-    Args:
-        matrix: target array, first axis indexed by ``rows``.
-        rows: 1-D int array of row indices (duplicates allowed).
-        values: array whose leading axis aligns with ``rows``; trailing
-            shape must match ``matrix``'s trailing shape.
-    """
-    rows = np.asarray(rows)
-    if rows.size:
-        plan_row_scatters([rows])[0].add(matrix, values)
-
-
 class SigmoidTable:
     """Precomputed logistic-sigmoid lookup table (the word2vec-at-scale trick).
 
@@ -233,11 +207,6 @@ class SigmoidTable:
         index = (x + self.bound) * self._scale
         np.clip(index, 0, self.size - 1, out=index)
         return self.table[index.astype(np.intp)]
-
-    def max_absolute_error(self) -> float:
-        """Worst-case |table lookup - exact sigmoid| over a dense probe grid."""
-        probe = np.linspace(-2.0 * self.bound, 2.0 * self.bound, 40001)
-        return float(np.max(np.abs(self(probe).astype(np.float64) - sigmoid(probe))))
 
 
 def normalize_rows(matrix: np.ndarray, epsilon: float = 1e-12) -> np.ndarray:

@@ -3,13 +3,10 @@
 The skip-gram literature (word2vec) initializes the input embedding matrix
 uniformly in ``[-0.5/dim, 0.5/dim]`` and the output (context) weights and
 biases at zero; those are the defaults used by
-:class:`repro.models.skipgram.SkipGramModel`. Xavier and normal schemes are
-provided for experimentation.
+:class:`repro.models.skipgram.SkipGramModel`.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -27,25 +24,6 @@ def uniform_embedding_init(
     dim = shape[-1]
     half = 0.5 / dim
     return generator.uniform(-half, half, size=shape)
-
-
-def xavier_uniform_init(shape: tuple[int, ...], rng: RngLike = None) -> np.ndarray:
-    """Glorot/Xavier uniform init: ``U(-a, a)`` with ``a = sqrt(6/(fan_in+fan_out))``."""
-    generator = ensure_rng(rng)
-    if len(shape) < 2:
-        fan_in = fan_out = shape[0] if shape else 1
-    else:
-        fan_in, fan_out = shape[0], shape[-1]
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return generator.uniform(-bound, bound, size=shape)
-
-
-def normal_init(
-    shape: tuple[int, ...], stddev: float = 0.01, rng: RngLike = None
-) -> np.ndarray:
-    """Zero-mean Gaussian init with the given standard deviation."""
-    generator = ensure_rng(rng)
-    return generator.normal(0.0, stddev, size=shape)
 
 
 def zeros_init(shape: tuple[int, ...], rng: RngLike = None) -> np.ndarray:

@@ -1,15 +1,12 @@
 """Named parameter sets.
 
 A :class:`ParameterSet` is an ordered mapping from tensor name to NumPy
-array with the vector-space operations Algorithm 1 needs: copying model
-state before local training, computing a model *delta* (``Phi - theta_t``),
-scaling/accumulating deltas, and measuring per-tensor and joint l2 norms
-for clipping.
+array with the few vector-space operations Algorithm 1 needs: copying
+model state and accumulating updates into it.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -92,42 +89,6 @@ class ParameterSet:
         for name, tensor in other.items():
             self._tensors[name] += scale * tensor
         return self
-
-    def scale_(self, factor: float) -> "ParameterSet":
-        """In-place multiplication of every tensor by ``factor``."""
-        for tensor in self._tensors.values():
-            tensor *= factor
-        return self
-
-    def delta_from(self, reference: "ParameterSet") -> dict[str, np.ndarray]:
-        """The update ``self - reference`` as a plain name -> array mapping.
-
-        This is Algorithm 1's ``g_h = Phi - theta_t`` (line 20).
-        """
-        return {
-            name: self._tensors[name] - reference[name] for name in self._tensors
-        }
-
-    # -- norms ----------------------------------------------------------------
-
-    def per_tensor_norms(self) -> dict[str, float]:
-        """l2 norm of each tensor."""
-        return {
-            name: float(np.linalg.norm(tensor))
-            for name, tensor in self._tensors.items()
-        }
-
-    def l2_norm(self) -> float:
-        """l2 norm of the concatenation of all tensors."""
-        squared = sum(
-            float(np.sum(np.square(tensor))) for tensor in self._tensors.values()
-        )
-        return math.sqrt(squared)
-
-    @property
-    def num_parameters(self) -> int:
-        """Total scalar parameter count across all tensors."""
-        return sum(tensor.size for tensor in self._tensors.values())
 
     def shapes(self) -> dict[str, tuple[int, ...]]:
         """Shape of each tensor."""

@@ -298,10 +298,6 @@ class Histogram(_Instrument):
                 "max": child.maximum,
             }
 
-    def label_keys(self) -> list[_LabelKey]:
-        with self._lock:
-            return list(self._children)
-
     def _samples(self) -> Iterator[tuple[str, _LabelKey, float]]:
         for key, child in self._children.items():
             cumulative = 0

@@ -3,7 +3,7 @@
 This package implements everything the paper's Algorithm 1 needs from the
 DP literature, from scratch:
 
-- output-perturbation mechanisms (:mod:`repro.privacy.mechanisms`),
+- the Gaussian mechanism (:mod:`repro.privacy.mechanisms`),
 - gradient/update clipping (:mod:`repro.privacy.clipping`),
 - the sensitivity model of the Gaussian sum query over buckets, including
   the split factor ``omega`` of Section 4.2 (:mod:`repro.privacy.sensitivity`),
@@ -17,12 +17,7 @@ from repro.privacy.clipping import (
     clip_tensor,
     per_layer_clip_bound,
 )
-from repro.privacy.mechanisms import (
-    GaussianMechanism,
-    LaplaceMechanism,
-    RandomizedResponse,
-    gaussian_sigma_for_epsilon_delta,
-)
+from repro.privacy.mechanisms import GaussianMechanism
 from repro.privacy.sensitivity import GaussianSumQuerySensitivity
 from repro.privacy.accountant import (
     MomentsAccountant,
@@ -35,9 +30,6 @@ from repro.privacy.accountant import (
 
 __all__ = [
     "GaussianMechanism",
-    "LaplaceMechanism",
-    "RandomizedResponse",
-    "gaussian_sigma_for_epsilon_delta",
     "clip_tensor",
     "clip_by_global_norm",
     "per_layer_clip_bound",

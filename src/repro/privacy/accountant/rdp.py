@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import importlib
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -301,25 +301,3 @@ def compute_epsilon(
     rdp = compute_rdp_sampled_gaussian(q, noise_multiplier, steps, orders)
     epsilon, _ = rdp_to_epsilon(orders, rdp, delta, conversion)
     return epsilon
-
-
-def epsilon_curve(
-    q: float,
-    noise_multiplier: float,
-    step_grid: Iterable[int],
-    delta: float,
-    orders: Sequence[float] = DEFAULT_RDP_ORDERS,
-) -> list[tuple[int, float]]:
-    """Epsilon as a function of step count, evaluated on ``step_grid``.
-
-    Computes the per-step RDP once and scales it, so the grid evaluation is
-    cheap even for many points.
-    """
-    base_rdp = compute_rdp_sampled_gaussian(q, noise_multiplier, 1, orders)
-    curve: list[tuple[int, float]] = []
-    for steps in step_grid:
-        if steps < 0:
-            raise ConfigError(f"steps must be >= 0, got {steps}")
-        epsilon, _ = rdp_to_epsilon(orders, base_rdp * steps, delta)
-        curve.append((steps, epsilon))
-    return curve

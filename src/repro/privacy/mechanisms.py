@@ -1,8 +1,8 @@
-"""Output-perturbation mechanisms for differential privacy.
+"""The Gaussian mechanism (Dwork & Roth 2014, Theorem A.1) of Algorithm 1.
 
-Implements the Gaussian mechanism (Dwork & Roth 2014, Theorem A.1) used by
-Algorithm 1, plus the Laplace mechanism and randomized response, which the
-paper's related-work section discusses as alternatives for location data.
+Training adds its noise in :mod:`repro.core.engine.stages`;
+:class:`GaussianMechanism` is the standalone form, which the Monte Carlo
+DP test samples.
 """
 
 from __future__ import annotations
@@ -14,35 +14,6 @@ import numpy as np
 
 from repro.exceptions import ConfigError
 from repro.rng import RngLike, ensure_rng
-
-
-def gaussian_sigma_for_epsilon_delta(
-    epsilon: float, delta: float, sensitivity: float = 1.0
-) -> float:
-    """Return the noise std for a single (epsilon, delta)-DP Gaussian release.
-
-    Uses the classic calibration of Theorem 2.1 in the paper (Dwork & Roth):
-    ``sigma >= sqrt(2 ln(1.25 / delta)) * sensitivity / epsilon``, valid for
-    ``epsilon in (0, 1]``.
-
-    Args:
-        epsilon: privacy budget of the single release, in (0, 1].
-        delta: failure probability, in (0, 1).
-        sensitivity: global l2 sensitivity of the released function.
-
-    Returns:
-        The standard deviation of the required zero-mean Gaussian noise.
-
-    Raises:
-        ConfigError: for parameters outside the theorem's validity range.
-    """
-    if not 0.0 < epsilon <= 1.0:
-        raise ConfigError(f"classic Gaussian mechanism requires 0 < epsilon <= 1, got {epsilon}")
-    if not 0.0 < delta < 1.0:
-        raise ConfigError(f"delta must be in (0, 1), got {delta}")
-    if sensitivity <= 0.0:
-        raise ConfigError(f"sensitivity must be positive, got {sensitivity}")
-    return math.sqrt(2.0 * math.log(1.25 / delta)) * sensitivity / epsilon
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,63 +64,3 @@ class GaussianMechanism:
         if self.noise_multiplier == 0.0:
             return math.inf
         return math.sqrt(2.0 * math.log(1.25 / delta)) / self.noise_multiplier
-
-
-@dataclass(frozen=True, slots=True)
-class LaplaceMechanism:
-    """The Laplace mechanism for pure epsilon-DP over l1 sensitivity."""
-
-    epsilon: float
-    sensitivity: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.epsilon <= 0.0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
-        if self.sensitivity <= 0.0:
-            raise ConfigError(f"sensitivity must be positive, got {self.sensitivity}")
-
-    @property
-    def scale(self) -> float:
-        """Laplace scale parameter b = sensitivity / epsilon."""
-        return self.sensitivity / self.epsilon
-
-    def add_noise(self, value: np.ndarray, rng: RngLike = None) -> np.ndarray:
-        """Return ``value`` perturbed with Laplace(0, sensitivity/epsilon) noise."""
-        generator = ensure_rng(rng)
-        value = np.asarray(value, dtype=np.float64)
-        return value + generator.laplace(0.0, self.scale, size=value.shape)
-
-
-@dataclass(frozen=True, slots=True)
-class RandomizedResponse:
-    """Binary randomized response, the classic local-DP primitive.
-
-    Answers truthfully with probability ``e^eps / (e^eps + 1)``; the paper's
-    related work (Quercia et al.) applies this to location reporting.
-    """
-
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        if self.epsilon <= 0.0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
-
-    @property
-    def truth_probability(self) -> float:
-        """Probability of reporting the true bit."""
-        expeps = math.exp(self.epsilon)
-        return expeps / (expeps + 1.0)
-
-    def randomize(self, bits: np.ndarray, rng: RngLike = None) -> np.ndarray:
-        """Flip each bit independently with probability ``1 - truth_probability``."""
-        generator = ensure_rng(rng)
-        bits = np.asarray(bits, dtype=bool)
-        flips = generator.random(bits.shape) >= self.truth_probability
-        return np.where(flips, ~bits, bits)
-
-    def estimate_frequency(self, reported: np.ndarray) -> float:
-        """Debias the observed frequency of ones in randomized reports."""
-        reported = np.asarray(reported, dtype=float)
-        p = self.truth_probability
-        observed = float(reported.mean()) if reported.size else 0.0
-        return (observed - (1.0 - p)) / (2.0 * p - 1.0)

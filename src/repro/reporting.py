@@ -1,15 +1,12 @@
-"""Plain-text reporting helpers: tables and ASCII charts.
+"""Plain-text reporting: a unicode sparkline of a training curve.
 
 The library runs on plot-free machines (CI, servers), so training curves
-and sweep results render as text. Used by the examples and available to
-downstream scripts.
+render as text.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
-
-from repro.exceptions import ConfigError
 
 _BLOCKS = " ▁▂▃▄▅▆▇█"
 
@@ -37,71 +34,3 @@ def sparkline(values: Sequence[float]) -> str:
             level = int((value - low) / span * (len(_BLOCKS) - 2)) + 1
             chars.append(_BLOCKS[level])
     return "".join(chars)
-
-
-def ascii_chart(
-    values: Sequence[float],
-    height: int = 8,
-    width: int | None = None,
-    label: str = "",
-) -> str:
-    """Multi-line ASCII line chart of a numeric series.
-
-    Args:
-        values: the series to plot.
-        height: chart rows.
-        width: downsample the series to this many columns (None = as is).
-        label: optional y-axis label printed above the chart.
-
-    Returns:
-        The rendered chart as a newline-joined string.
-    """
-    import math
-
-    if height < 2:
-        raise ConfigError(f"height must be >= 2, got {height}")
-    series = [float(v) for v in values if math.isfinite(v)]
-    if not series:
-        raise ConfigError("no finite values to plot")
-    if width is not None and len(series) > width:
-        # Bucket-mean downsampling.
-        bucket = len(series) / width
-        series = [
-            sum(series[int(i * bucket) : max(int(i * bucket) + 1, int((i + 1) * bucket))])
-            / max(1, len(series[int(i * bucket) : max(int(i * bucket) + 1, int((i + 1) * bucket))]))
-            for i in range(width)
-        ]
-    low, high = min(series), max(series)
-    span = high - low or 1.0
-    rows = []
-    for row in range(height, 0, -1):
-        threshold = low + span * (row - 0.5) / height
-        line = "".join("█" if value >= threshold else " " for value in series)
-        rows.append(line)
-    header = [f"{label}  max={high:.4g}  min={low:.4g}"] if label else []
-    return "\n".join(header + rows)
-
-
-def format_table(
-    headers: Sequence[str], rows: Sequence[Sequence], title: str = ""
-) -> str:
-    """Fixed-width text table (floats at 4 decimals)."""
-
-    def fmt(value) -> str:
-        if isinstance(value, float):
-            return f"{value:.4f}"
-        return str(value)
-
-    if not headers:
-        raise ConfigError("headers must be non-empty")
-    widths = [
-        max(len(str(header)), *(len(fmt(row[i])) for row in rows)) if rows else len(str(header))
-        for i, header in enumerate(headers)
-    ]
-    lines = []
-    if title:
-        lines += [title, "-" * len(title)]
-    lines.append("  ".join(str(h).ljust(w) for h, w in zip(headers, widths)))
-    for row in rows:
-        lines.append("  ".join(fmt(v).ljust(w) for v, w in zip(row, widths)))
-    return "\n".join(lines)

@@ -2,7 +2,7 @@
 
 :class:`RecommendService` is the transport-independent core of ``repro
 serve``: the HTTP layers (and tests) call :meth:`recommend` /
-:meth:`submit_request` / :meth:`healthz` / :meth:`metrics` /
+:meth:`submit_future` / :meth:`healthz` / :meth:`metrics` /
 :meth:`reload` directly. Requests are typed
 :class:`~repro.serving.api.RecommendRequest` values (the micro-batcher
 payloads are these objects, not ad-hoc tuples) funneled through the
@@ -54,7 +54,6 @@ from repro.serving.registry import DEFAULT_MODEL, LoadedModel, ModelRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observability.hooks import Observability
-    from repro.observability.metrics import MetricsRegistry
 
 
 class RecommendService:
@@ -219,31 +218,17 @@ class RecommendService:
             ServingError: no model loaded, deadline missed, or service
                 closed.
         """
-        response, _ = self._answer(
-            lambda: self._validate(recent, top_k, model), timeout
-        )
-        return response.as_dict()
-
-    def submit_request(
-        self, request: RecommendRequest, timeout: float | None = None
-    ) -> RecommendResponse:
-        """Answer one typed request (blocking, batched, fully accounted)."""
-        response, _ = self._answer(lambda: request, timeout)
-        return response
-
-    def _answer(self, make_request, timeout: float | None):
-        """Validate, submit, and account one blocking request."""
         start = time.perf_counter()
         status = "error"
         fallback = False
         model_name: str | None = None
         try:
-            request = self._admissible(make_request())
+            request = self._admissible(self._validate(recent, top_k, model))
             model_name = request.model.name
             response = self._batcher.submit(request, timeout=timeout)
             status = "ok"
             fallback = response.fallback
-            return response, request
+            return response.as_dict()
         except OverloadedError:
             status = "shed"
             raise
@@ -507,11 +492,6 @@ class RecommendService:
     def metrics_jsonl(self) -> str:
         """JSONL export of the backing registry (one object per sample)."""
         return self._metrics.registry.to_jsonl()
-
-    @property
-    def metrics_registry(self) -> "MetricsRegistry":
-        """The registry behind this service's metrics observer."""
-        return self._metrics.registry
 
     def reload(self, model: str | None = None) -> dict:
         """Hot-reload one named model's artifact; the old snapshot keeps

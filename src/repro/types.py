@@ -9,7 +9,7 @@ check-ins ``Uu = {c1, c2, ...}`` where each element is a triplet
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,17 +127,3 @@ def group_by_user(checkins: Iterable[CheckIn]) -> dict[int, UserHistory]:
     for history in histories.values():
         history.checkins.sort(key=lambda c: c.timestamp)
     return histories
-
-
-def validate_sequences(sequences: Sequence[Sequence[int]]) -> None:
-    """Validate raw location sequences used as model input.
-
-    Raises:
-        ValueError: if any sequence is empty or contains a negative id.
-    """
-    for i, sequence in enumerate(sequences):
-        if len(sequence) == 0:
-            raise ValueError(f"sequence {i} is empty")
-        for location in sequence:
-            if location < 0:
-                raise ValueError(f"sequence {i} contains negative location id")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import PLPConfig
-from repro.core.bucket import model_update_from_bucket
+from repro.core.bucket import model_updates_from_buckets
 from repro.core.engine import (
     BucketJob,
     CheckpointObserver,
@@ -269,14 +269,14 @@ class TestWorkerSafeBucket:
         }
         rng = np.random.default_rng(7)
         pairs = rng.integers(0, 30, size=(24, 2))
-        update = model_update_from_bucket(
+        (update,) = model_updates_from_buckets(
             model,
             model.params,
-            pairs,
+            [pairs],
             batch_size=8,
             learning_rate=0.1,
             clip_bound=0.5,
-            rng=rng,
+            rngs=[rng],
         )
         for name, tensor in before.items():
             assert np.array_equal(model.params[name], tensor), name

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.history import EvalRecord, StepRecord, TrainingHistory
 
 
@@ -24,7 +22,6 @@ class TestTrainingHistory:
         history = TrainingHistory()
         assert len(history) == 0
         assert history.final_epsilon == 0.0
-        assert history.total_wall_time == 0.0
         assert history.losses() == []
 
     def test_accumulates(self):
@@ -35,7 +32,6 @@ class TestTrainingHistory:
         assert history.final_epsilon == 0.2
         assert history.losses() == [3.0, 2.0]
         assert history.epsilons() == [0.1, 0.2]
-        assert history.total_wall_time == pytest.approx(1.0)
 
     def test_iteration(self):
         history = TrainingHistory()
@@ -53,11 +49,3 @@ class TestTrainingHistory:
         history.record_evaluation(1, metrics)
         metrics["HR@10"] = 0.9
         assert history.evaluations[0].metrics["HR@10"] == 0.2
-
-    def test_as_rows(self):
-        history = TrainingHistory()
-        history.record_step(_record(1, loss=3.0))
-        rows = history.as_rows()
-        assert rows[0]["step"] == 1
-        assert rows[0]["loss"] == 3.0
-        assert rows[0]["buckets"] == 3

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.sampling import expected_sample_size, poisson_sample
+from repro.core.sampling import poisson_sample
 from repro.exceptions import ConfigError
 
 
@@ -47,14 +47,3 @@ class TestPoissonSample:
         sample = poisson_sample(population, prob, rng=seed)
         assert set(sample) <= set(population)
         assert len(set(sample)) == len(sample)
-
-
-class TestExpectedSampleSize:
-    def test_value(self):
-        assert expected_sample_size(4502, 0.06) == pytest.approx(270.12)
-
-    def test_invalid(self):
-        with pytest.raises(ConfigError):
-            expected_sample_size(-1, 0.5)
-        with pytest.raises(ConfigError):
-            expected_sample_size(10, 2.0)

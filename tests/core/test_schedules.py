@@ -10,7 +10,6 @@ from repro.core.schedules import (
     ExponentialDecaySchedule,
     LinearDecaySchedule,
     StepDecaySchedule,
-    make_schedule,
 )
 from repro.core.trainer import PrivateLocationPredictor
 from repro.exceptions import ConfigError
@@ -74,18 +73,6 @@ class TestStepDecay:
     def test_floor(self):
         schedule = StepDecaySchedule(start_sigma=2.0, period=1, factor=0.1, floor=1.5)
         assert schedule.sigma_at(5) == pytest.approx(1.5)
-
-
-class TestFactory:
-    def test_families(self):
-        assert isinstance(make_schedule("constant", 2.5), ConstantSchedule)
-        assert isinstance(make_schedule("linear", 2.5), LinearDecaySchedule)
-        assert isinstance(make_schedule("exponential", 2.5), ExponentialDecaySchedule)
-        assert isinstance(make_schedule("step", 2.5), StepDecaySchedule)
-
-    def test_unknown(self):
-        with pytest.raises(ConfigError):
-            make_schedule("cosine", 2.5)
 
 
 class TestTrainerIntegration:

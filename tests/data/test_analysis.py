@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.data.analysis import (
-    location_coverage_per_user,
     location_frequency_zipf_fit,
     session_summary,
     user_activity_summary,
@@ -83,15 +82,3 @@ class TestSessionSummary:
         # only until duration exceeds 6h from the session start.
         assert summary.num_sessions >= 1
         assert summary.max_length <= 4
-
-
-class TestCoverage:
-    def test_range(self, small_dataset):
-        coverage = location_coverage_per_user(small_dataset)
-        assert 0.0 < coverage < 1.0
-
-    def test_full_coverage(self):
-        checkins = [
-            CheckIn(user=0, location=i, timestamp=float(i)) for i in range(3)
-        ]
-        assert location_coverage_per_user(CheckinDataset(checkins)) == 1.0

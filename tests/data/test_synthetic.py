@@ -91,19 +91,6 @@ class TestGenerator:
         assert repeats / total < 0.05
 
 
-class TestPaperScale:
-    def test_dimensions_match_paper(self):
-        config = SyntheticConfig.paper_scale()
-        assert config.num_users == 4602
-        assert config.num_locations == 5069
-        assert config.mean_checkins_per_user == 160.0
-        assert config.months == 22.0
-
-    def test_validates(self):
-        # paper_scale must pass the config's own validation.
-        SyntheticConfig.paper_scale()
-
-
 class TestScaling:
     def test_heavy_tail_of_user_activity(self):
         config = SyntheticConfig(

@@ -22,15 +22,21 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.bucket import _local_update_spec, build_bucket_batches
+from repro.core.bucket import (
+    _local_update_spec,
+    build_bucket_batches,
+    model_updates_from_buckets,
+)
 from repro.exceptions import ConfigError
 from repro.models.skipgram import SkipGramModel
 from repro.nn.backends import (
     BACKEND_NAMES,
     FastBackend,
+    KernelBackend,
     ReferenceBackend,
     get_backend,
 )
+from tests.nn.per_batch_reference import per_batch_bucket_update
 
 BACKENDS = list(BACKEND_NAMES)
 
@@ -84,6 +90,12 @@ def _train(backend: str):
 def trained():
     """One trained model per native backend, same data and seed."""
     return {backend: _train(backend) for backend in BACKENDS}
+
+
+def _one_bucket(backend, theta, batches, spec):
+    """One bucket's delta, computed as a chunk of one."""
+    (delta,) = backend.fused_multi_bucket_update(theta, [batches], spec)
+    return delta
 
 
 def _bucket_setup(
@@ -141,8 +153,8 @@ class TestLedgerBitIdentity:
                 model, batches, spec = _bucket_setup(
                     backend=backend, loss=loss, sharing=sharing
                 )
-                delta = model.backend.fused_bucket_update(
-                    model.params, batches, spec
+                delta = _one_bucket(
+                    model.backend, model.params, batches, spec
                 )
                 assert np.isfinite(delta.mean_loss), (backend, loss, sharing)
                 assert np.isfinite(delta.unclipped_norm)
@@ -168,16 +180,16 @@ class TestEmbeddingDrift:
         model_ref, batches_ref, spec = _bucket_setup(
             num_negatives, num_pairs, loss=loss, sharing=sharing
         )
-        reference = model_ref.backend.fused_bucket_update(
-            model_ref.params, batches_ref, spec
+        reference = _one_bucket(
+            model_ref.backend, model_ref.params, batches_ref, spec
         )
         for backend in BACKENDS[1:]:
             model, batches, spec_b = _bucket_setup(
                 num_negatives, num_pairs, backend=backend, loss=loss,
                 sharing=sharing,
             )
-            delta = model.backend.fused_bucket_update(
-                model.params, batches, spec_b
+            delta = _one_bucket(
+                model.backend, model.params, batches, spec_b
             )
             for name in reference.rows:
                 assert np.array_equal(delta.rows[name], reference.rows[name])
@@ -199,11 +211,11 @@ class TestEmbeddingDrift:
 
         for sharing in ("batch", "per_pair"):
             model, batches, spec = _bucket_setup(sharing=sharing)
-            reference = model.backend.fused_bucket_update(
-                model.params, batches, spec
+            reference = _one_bucket(
+                model.backend, model.params, batches, spec
             )
-            delta = Float64Fast().fused_bucket_update(
-                model.params, batches, spec
+            delta = _one_bucket(
+                Float64Fast(), model.params, batches, spec
             )
             for name in reference.rows:
                 assert np.array_equal(delta.rows[name], reference.rows[name])
@@ -238,8 +250,8 @@ class TestFusedChunkContract:
             model.params, chunks, spec
         )
         for i, batches in enumerate(chunks):
-            single = model.backend.fused_bucket_update(
-                model.params, batches, spec
+            single = _one_bucket(
+                model.backend, model.params, batches, spec
             )
             for name in single.rows:
                 assert np.array_equal(single.rows[name], multi[i].rows[name])
@@ -262,6 +274,47 @@ class TestFusedChunkContract:
         assert all(rows.size == 0 for rows in deltas[0].rows.values())
         assert deltas[1].num_batches == len(batches)
         assert deltas[2].num_batches == 0
+
+
+class TestKernelInterface:
+    """The backend interface is one compute method."""
+
+    @pytest.mark.parametrize(("loss", "sharing"), MODES)
+    def test_one_method_backend_matches_reference_bitwise(self, loss, sharing):
+        class PerBatchBackend(KernelBackend):
+            name = "per-batch"
+
+            def fused_multi_bucket_update(self, theta, bucket_batches, spec):
+                return [
+                    per_batch_bucket_update(theta, batches, spec)
+                    for batches in bucket_batches
+                ]
+
+        rng = np.random.default_rng(4)
+        buckets = [
+            rng.integers(0, 50, size=(size, 2)) for size in (40, 0, 7, 90)
+        ]
+        updates = {}
+        for backend in (ReferenceBackend(), PerBatchBackend()):
+            model = SkipGramModel(
+                50, embedding_dim=8, num_negatives=5, loss=loss,
+                negative_sharing=sharing, rng=np.random.default_rng(1),
+                backend=backend,
+            )
+            updates[backend.name] = model_updates_from_buckets(
+                model, model.params, buckets, 16, 0.5, 0.3,
+                rngs=[np.random.default_rng(10 + i) for i in range(len(buckets))],
+            )
+        for ours, reference in zip(updates["per-batch"], updates["reference"]):
+            for name in reference.rows:
+                assert np.array_equal(ours.rows[name], reference.rows[name])
+                assert ours.values[name].tobytes() == reference.values[name].tobytes()
+            assert ours.num_batches == reference.num_batches
+            assert np.array_equal(
+                [ours.mean_loss, ours.unclipped_norm],
+                [reference.mean_loss, reference.unclipped_norm],
+                equal_nan=True,
+            )
 
 
 class TestRegistry:

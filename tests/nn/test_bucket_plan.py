@@ -1,6 +1,6 @@
 """The planned reference kernel is bit-identical to the per-batch loop.
 
-``ReferenceBackend.fused_bucket_update`` compiles each bucket into a plan
+``ReferenceBackend`` compiles each bucket into a plan
 (one read-set gather, one vectorized scatter plan) before its SGD loop.
 The oracle is the per-batch loop it replaced, frozen in
 :mod:`tests.nn.per_batch_reference`. The golden hash pins only the default
@@ -63,7 +63,7 @@ def test_planned_bucket_matches_per_batch_loop(
         model, pairs, 8, local_update=local_update, rng=np.random.default_rng(5)
     )
     spec = _local_update_spec(model, 0.5, 0.3, clipping)
-    planned = model.backend.fused_bucket_update(model.params, batches, spec)
+    (planned,) = model.backend.fused_multi_bucket_update(model.params, [batches], spec)
     oracle = per_batch_bucket_update(model.params, batches, spec)
     _assert_bitwise_equal(planned, oracle)
 
@@ -74,7 +74,7 @@ def test_planned_bucket_leaves_theta_untouched():
     pairs = np.random.default_rng(3).integers(0, NUM_LOCATIONS, size=(40, 2))
     batches = build_bucket_batches(model, pairs, 8, rng=np.random.default_rng(4))
     spec = _local_update_spec(model, 0.5, 0.3, "per_layer")
-    model.backend.fused_bucket_update(model.params, batches, spec)
+    model.backend.fused_multi_bucket_update(model.params, [batches], spec)
     for name, tensor in before.items():
         assert np.array_equal(model.params[name], tensor)
 

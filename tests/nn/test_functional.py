@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.nn.functional import (
-    log_sigmoid,
     log_softmax,
     logsumexp,
     normalize_rows,
@@ -91,15 +90,6 @@ class TestSigmoid:
         values = sigmoid(x)
         assert np.all(values >= 0.0)
         assert np.all(values <= 1.0)
-
-
-class TestLogSigmoid:
-    def test_matches_log_of_sigmoid(self):
-        x = np.array([-3.0, 0.0, 3.0])
-        assert np.allclose(log_sigmoid(x), np.log(sigmoid(x)))
-
-    def test_negative_tail_linear(self):
-        assert log_sigmoid(np.array([-500.0]))[0] == pytest.approx(-500.0)
 
 
 class TestOneHot:

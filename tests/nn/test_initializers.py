@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.initializers import (
-    normal_init,
-    uniform_embedding_init,
-    xavier_uniform_init,
-    zeros_init,
-)
+from repro.nn.initializers import uniform_embedding_init, zeros_init
 
 
 class TestUniformEmbeddingInit:
@@ -25,25 +20,6 @@ class TestUniformEmbeddingInit:
 
     def test_shape(self):
         assert uniform_embedding_init((3, 4), rng=0).shape == (3, 4)
-
-
-class TestXavierInit:
-    def test_bound(self):
-        matrix = xavier_uniform_init((64, 32), rng=0)
-        bound = np.sqrt(6.0 / (64 + 32))
-        assert np.abs(matrix).max() <= bound
-
-    def test_one_dimensional(self):
-        vector = xavier_uniform_init((10,), rng=0)
-        assert vector.shape == (10,)
-
-
-class TestNormalInit:
-    def test_statistics(self):
-        matrix = normal_init((200, 200), stddev=0.05, rng=0)
-        assert abs(matrix.mean()) < 0.001
-        assert matrix.std() == np.float64(matrix.std())
-        assert abs(matrix.std() - 0.05) < 0.002
 
 
 class TestZerosInit:

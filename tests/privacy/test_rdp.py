@@ -20,7 +20,6 @@ from repro.privacy.accountant.rdp import (
     _compute_log_a_frac,
     compute_epsilon,
     compute_rdp_sampled_gaussian,
-    epsilon_curve,
     rdp_to_epsilon,
 )
 from tests.privacy.scalar_rdp_reference import scalar_log_a_frac
@@ -138,17 +137,6 @@ class TestComputeEpsilon:
     def test_orders_below_one_rejected(self):
         with pytest.raises(ConfigError):
             compute_rdp_sampled_gaussian(0.1, 1.0, 1, [0.5, 2.0])
-
-
-class TestEpsilonCurve:
-    def test_monotone_in_steps(self):
-        curve = epsilon_curve(0.06, 2.5, [10, 100, 500], 2e-4)
-        values = [eps for _, eps in curve]
-        assert values == sorted(values)
-
-    def test_matches_pointwise_computation(self):
-        curve = dict(epsilon_curve(0.06, 2.5, [50], 2e-4))
-        assert curve[50] == pytest.approx(compute_epsilon(0.06, 2.5, 50, 2e-4), rel=1e-9)
 
 
 class TestFractionalSeriesBlocks:

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.exceptions import ConfigError
-from repro.reporting import ascii_chart, format_table, sparkline
+from repro.reporting import sparkline
 
 
 class TestSparkline:
@@ -26,47 +23,3 @@ class TestSparkline:
 
     def test_all_nan(self):
         assert sparkline([float("nan")] * 3) == "   "
-
-
-class TestAsciiChart:
-    def test_height_rows(self):
-        chart = ascii_chart([1, 5, 3, 4], height=6)
-        assert len(chart.splitlines()) == 6
-
-    def test_label_header(self):
-        chart = ascii_chart([1, 2], height=4, label="loss")
-        lines = chart.splitlines()
-        assert lines[0].startswith("loss")
-        assert len(lines) == 5
-
-    def test_peak_column_tallest(self):
-        chart = ascii_chart([0, 10, 0], height=5)
-        top_row = chart.splitlines()[0]
-        assert top_row[1] == "█"
-        assert top_row[0] == " "
-
-    def test_downsampling(self):
-        chart = ascii_chart(list(range(100)), height=4, width=10)
-        assert all(len(line) == 10 for line in chart.splitlines())
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ConfigError):
-            ascii_chart([1, 2], height=1)
-        with pytest.raises(ConfigError):
-            ascii_chart([float("nan")])
-
-
-class TestFormatTable:
-    def test_alignment_and_floats(self):
-        text = format_table(["name", "x"], [["a", 0.123456], ["bb", 2]])
-        lines = text.splitlines()
-        assert lines[0].startswith("name")
-        assert "0.1235" in text
-
-    def test_title(self):
-        text = format_table(["a"], [], title="Results")
-        assert text.splitlines()[0] == "Results"
-
-    def test_empty_headers_rejected(self):
-        with pytest.raises(ConfigError):
-            format_table([], [])

@@ -15,7 +15,6 @@ from repro.types import (
     Trajectory,
     UserHistory,
     group_by_user,
-    validate_sequences,
 )
 
 
@@ -93,19 +92,6 @@ class TestGroupByUser:
 
     def test_empty_input(self):
         assert group_by_user([]) == {}
-
-
-class TestValidateSequences:
-    def test_accepts_valid(self):
-        validate_sequences([[1, 2], [0]])
-
-    def test_rejects_empty_sequence(self):
-        with pytest.raises(ValueError):
-            validate_sequences([[1], []])
-
-    def test_rejects_negative_id(self):
-        with pytest.raises(ValueError):
-            validate_sequences([[1, -2]])
 
 
 class TestExceptions:
