@@ -20,7 +20,9 @@ names::
     model.recommend_batch([[17, 42], [8]], top_k=10)
 
 The lower-level classes (trainers, engine, evaluator, serving stack) are
-also re-exported for callers that need the knobs.
+also re-exported for callers that need the knobs. Every name loads its
+module on first access (:mod:`repro._lazy`), so ``import repro`` is cheap
+and a serving process never imports the training stack.
 
 Subpackages:
     - :mod:`repro.core` — Algorithm 1 (PLP) and the paper's baselines.
@@ -37,146 +39,83 @@ Subpackages:
       training, serving, and evaluation.
 """
 
-from repro.api import (
-    MetricsRegistry,
-    Observability,
-    ServingConfig,
-    TrainedModel,
-    Tracer,
-    evaluate,
-    load,
-    serve,
-    train,
-    with_observability,
-)
-from repro.observability import Observer
-from repro.exceptions import (
-    ConfigError,
-    DataError,
-    ExecutorError,
-    NotFittedError,
-    PrivacyBudgetExceeded,
-    ReproError,
-    ServingError,
-    VocabularyError,
-)
-from repro.types import CheckIn, Trajectory
-from repro.core import (
-    BucketExecutor,
-    NonPrivateTrainer,
-    PLPConfig,
-    PrivateLocationPredictor,
-    SerialExecutor,
-    ShardedExecutor,
-    TrainingEngine,
-    UserLevelDPSGD,
-)
-from repro.data import (
-    CheckinDataset,
-    SyntheticConfig,
-    TOKYO_BBOX,
-    generate_checkins,
-    holdout_users_split,
-    load_foursquare_tsv,
-    paper_preprocessing,
-    sessionize_dataset,
-)
-from repro.eval import LeaveOneOutEvaluator, hit_rate_at_k, paired_t_test
-from repro.models import (
-    EmbeddingMatrix,
-    LocationVocabulary,
-    NextLocationRecommender,
-    SkipGramModel,
-)
-from repro.privacy import (
-    GaussianMechanism,
-    MomentsAccountant,
-    PrivacyLedger,
-    calibrate_noise_multiplier,
-    compute_epsilon,
-    max_steps_for_budget,
-)
-from repro.attacks import MembershipInferenceAttack
-from repro.experiments import ExperimentRunner, SweepSpec
-from repro.models.serialization import (
-    load_deployable_model,
-    load_recommender,
-    load_training_checkpoint,
-    save_deployable_model,
-    save_training_checkpoint,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
+#: Exported name -> the module that defines it, in ``__all__`` order.
+_EXPORTS = {
     # facade (repro.api): the stable surface
-    "train",
-    "load",
-    "evaluate",
-    "serve",
-    "ServingConfig",
-    "TrainedModel",
+    "train": "repro.api",
+    "load": "repro.api",
+    "evaluate": "repro.api",
+    "serve": "repro.api",
+    "ServingConfig": "repro.serving.api",
+    "TrainedModel": "repro.api",
     # observability (also part of the stable surface)
-    "Tracer",
-    "MetricsRegistry",
-    "Observability",
-    "Observer",
-    "with_observability",
+    "Tracer": "repro.observability.tracing",
+    "MetricsRegistry": "repro.observability.metrics",
+    "Observability": "repro.observability.hooks",
+    "Observer": "repro.observability.observer",
+    "with_observability": "repro.observability.hooks",
     # exceptions
-    "ReproError",
-    "ConfigError",
-    "DataError",
-    "ExecutorError",
-    "PrivacyBudgetExceeded",
-    "NotFittedError",
-    "ServingError",
-    "VocabularyError",
+    "ReproError": "repro.exceptions",
+    "ConfigError": "repro.exceptions",
+    "DataError": "repro.exceptions",
+    "ExecutorError": "repro.exceptions",
+    "PrivacyBudgetExceeded": "repro.exceptions",
+    "NotFittedError": "repro.exceptions",
+    "ServingError": "repro.exceptions",
+    "VocabularyError": "repro.exceptions",
     # types
-    "CheckIn",
-    "Trajectory",
+    "CheckIn": "repro.types",
+    "Trajectory": "repro.types",
     # core
-    "PLPConfig",
-    "PrivateLocationPredictor",
-    "UserLevelDPSGD",
-    "NonPrivateTrainer",
+    "PLPConfig": "repro.core.config",
+    "PrivateLocationPredictor": "repro.core.trainer",
+    "UserLevelDPSGD": "repro.core.dpsgd",
+    "NonPrivateTrainer": "repro.core.nonprivate",
     # engine
-    "TrainingEngine",
-    "BucketExecutor",
-    "SerialExecutor",
-    "ShardedExecutor",
+    "TrainingEngine": "repro.core.engine.engine",
+    "BucketExecutor": "repro.core.engine.executors",
+    "SerialExecutor": "repro.core.engine.executors",
+    "ShardedExecutor": "repro.core.engine.executors",
     # data
-    "CheckinDataset",
-    "SyntheticConfig",
-    "TOKYO_BBOX",
-    "generate_checkins",
-    "load_foursquare_tsv",
-    "paper_preprocessing",
-    "holdout_users_split",
-    "sessionize_dataset",
+    "CheckinDataset": "repro.data.checkins",
+    "SyntheticConfig": "repro.data.synthetic",
+    "TOKYO_BBOX": "repro.data.synthetic",
+    "generate_checkins": "repro.data.synthetic",
+    "load_foursquare_tsv": "repro.data.foursquare",
+    "paper_preprocessing": "repro.data.preprocessing",
+    "holdout_users_split": "repro.data.splitting",
+    "sessionize_dataset": "repro.data.splitting",
     # eval
-    "LeaveOneOutEvaluator",
-    "hit_rate_at_k",
-    "paired_t_test",
+    "LeaveOneOutEvaluator": "repro.eval.evaluator",
+    "hit_rate_at_k": "repro.eval.metrics",
+    "paired_t_test": "repro.eval.stats",
     # models
-    "SkipGramModel",
-    "LocationVocabulary",
-    "EmbeddingMatrix",
-    "NextLocationRecommender",
+    "SkipGramModel": "repro.models.skipgram",
+    "LocationVocabulary": "repro.models.vocabulary",
+    "EmbeddingMatrix": "repro.models.embeddings",
+    "NextLocationRecommender": "repro.models.recommender",
     # privacy
-    "GaussianMechanism",
-    "MomentsAccountant",
-    "PrivacyLedger",
-    "compute_epsilon",
-    "calibrate_noise_multiplier",
-    "max_steps_for_budget",
+    "GaussianMechanism": "repro.privacy.mechanisms",
+    "MomentsAccountant": "repro.privacy.accountant.moments",
+    "PrivacyLedger": "repro.privacy.accountant.ledger",
+    "compute_epsilon": "repro.privacy.accountant.rdp",
+    "calibrate_noise_multiplier": "repro.privacy.accountant.calibration",
+    "max_steps_for_budget": "repro.privacy.accountant.calibration",
     # extensions
-    "MembershipInferenceAttack",
-    "ExperimentRunner",
-    "SweepSpec",
-    "save_deployable_model",
-    "load_deployable_model",
-    "load_recommender",
-    "save_training_checkpoint",
-    "load_training_checkpoint",
-]
+    "MembershipInferenceAttack": "repro.attacks.membership",
+    "ExperimentRunner": "repro.experiments.runner",
+    "SweepSpec": "repro.experiments.runner",
+    "save_deployable_model": "repro.models.serialization",
+    "load_deployable_model": "repro.models.serialization",
+    "load_recommender": "repro.models.serialization",
+    "save_training_checkpoint": "repro.models.serialization",
+    "load_training_checkpoint": "repro.models.serialization",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

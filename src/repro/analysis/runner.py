@@ -8,11 +8,11 @@ Public entry points:
 - :func:`main` — the CLI behind ``repro lint`` and
   ``python -m repro.analysis``.
 
-Both CLI spellings share this module end to end — same flags, same rule
-registry, same renderers — so their exit codes are identical by
-construction and follow linter convention: 0 clean, 1 violations found,
-2 usage errors (unknown rule, missing path, not a git checkout for
-``--changed``).
+Both CLI spellings share this module end to end — same flags
+(:func:`repro.cli.add_lint_arguments`), same rule registry, same
+renderers — so their exit codes are identical by construction and follow
+linter convention: 0 clean, 1 violations found, 2 usage errors (unknown
+rule, missing path, not a git checkout for ``--changed``).
 
 The run has two passes. Per-module rules (DPL001-005) see one
 :class:`~repro.analysis.astutils.ModuleContext` at a time; program rules
@@ -263,57 +263,6 @@ def list_rules_text() -> str:
     return "\n".join(lines)
 
 
-def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared dplint flags to ``parser`` (used by ``repro lint``)."""
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        default=["src"],
-        help="files or directories to lint (default: src)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=sorted(RENDERERS),
-        default="text",
-        help="output format (github emits ::error workflow annotations)",
-    )
-    parser.add_argument(
-        "--select",
-        action="append",
-        default=None,
-        metavar="RULE",
-        help="run only these rule ids (repeatable)",
-    )
-    parser.add_argument(
-        "--ignore",
-        action="append",
-        default=None,
-        metavar="RULE",
-        help="skip these rule ids (repeatable)",
-    )
-    parser.add_argument(
-        "--changed",
-        action="store_true",
-        help=(
-            "report only violations in files changed vs git HEAD "
-            "(untracked files included; the full tree is still parsed "
-            "for whole-program context)"
-        ),
-    )
-    parser.add_argument(
-        "--sanitize",
-        action="store_true",
-        help=(
-            "after linting, run the dpsan runtime smoke (training "
-            "determinism + concurrency assertions); fails the run if "
-            "either the lint or the smoke fails"
-        ),
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true", help="list the rules and exit"
-    )
-
-
 def run_from_args(args: argparse.Namespace) -> int:
     """Execute a parsed lint invocation; returns the exit code."""
     if args.list_rules:
@@ -341,6 +290,8 @@ def run_from_args(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point for ``python -m repro.analysis``."""
+    from repro.cli import add_lint_arguments
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(

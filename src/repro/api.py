@@ -37,22 +37,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.core.config import PLPConfig
-from repro.data.checkins import CheckinDataset
-from repro.data.splitting import sessionize_dataset
-from repro.data.store import CheckinStore, open_corpus
-from repro.eval.evaluator import EvaluationResult, LeaveOneOutEvaluator
 from repro.exceptions import ConfigError
 from repro.models.embeddings import EmbeddingMatrix
 from repro.models.recommender import NextLocationRecommender
 from repro.models.serialization import load_deployable_model, save_deployable_model
 from repro.models.vocabulary import LocationVocabulary
-from repro.observability.hooks import Observability, with_observability
-from repro.observability.metrics import MetricsRegistry
-from repro.observability.tracing import Tracer
-from repro.serving.api import ServingConfig
+
+if TYPE_CHECKING:
+    from repro.core.config import PLPConfig
+    from repro.data.checkins import CheckinDataset
+    from repro.data.store import CheckinStore
+    from repro.eval.evaluator import EvaluationResult
+    from repro.observability.hooks import Observability
+    from repro.serving.api import ServingConfig
 
 _METHODS = ("plp", "dpsgd", "nonprivate")
 
@@ -135,6 +134,17 @@ class TrainedModel:
         return self
 
 
+def open_corpus(source: CheckinDataset | CheckinStore | str | Path) -> CheckinStore:
+    """:func:`repro.data.open_corpus`, imported on first use.
+
+    Loading or serving an artifact never reads a corpus, so the data
+    layer stays out of processes that only do that.
+    """
+    from repro.data.store import open_corpus as open_store
+
+    return open_store(source)
+
+
 def train(
     config: PLPConfig | dict | None = None,
     dataset: "CheckinDataset | CheckinStore | str | Path | None" = None,
@@ -170,6 +180,9 @@ def train(
             (``"serial"`` or the process pool ``"sharded"``), ``workers``,
             ``observers``.
     """
+    from repro.core.config import PLPConfig
+    from repro.data.checkins import CheckinDataset
+
     if method not in _METHODS:
         raise ConfigError(f"method must be one of {_METHODS}, got {method!r}")
     if config is None:
@@ -269,6 +282,9 @@ def serve(
     Raises:
         ConfigError: unknown override field or invalid config.
     """
+    from repro.serving.api import ServingConfig
+    from repro.serving.asgi import serve as _serve
+
     if config is None:
         config = ServingConfig()
     elif not isinstance(config, ServingConfig):
@@ -280,8 +296,6 @@ def serve(
             config = replace(config, **overrides)
         except TypeError as error:
             raise ConfigError(f"unknown serving option: {error}") from error
-    from repro.serving.asgi import serve as _serve
-
     _serve(config, observability=with_observability)
 
 
@@ -306,6 +320,11 @@ def evaluate(
         with_observability: optional :class:`Observability` bundle; the
             run feeds ``repro_eval_*`` latency histograms into it.
     """
+    from repro.data.checkins import CheckinDataset
+    from repro.data.splitting import sessionize_dataset
+    from repro.data.store import CheckinStore
+    from repro.eval.evaluator import LeaveOneOutEvaluator
+
     if isinstance(dataset, (str, Path, CheckinStore)):
         dataset = open_corpus(
             str(dataset) if isinstance(dataset, Path) else dataset

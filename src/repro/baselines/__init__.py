@@ -8,12 +8,15 @@ scoring interface of :class:`repro.models.recommender.NextLocationRecommender`
 of them unchanged.
 """
 
-from repro.baselines.popularity import PopularityRecommender
-from repro.baselines.markov import MarkovChainRecommender
-from repro.baselines.matrix_factorization import MatrixFactorizationRecommender
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PopularityRecommender",
-    "MarkovChainRecommender",
-    "MatrixFactorizationRecommender",
-]
+#: Exported name -> the module that defines it, in ``__all__`` order.
+_EXPORTS = {
+    "PopularityRecommender": "repro.baselines.popularity",
+    "MarkovChainRecommender": "repro.baselines.markov",
+    "MatrixFactorizationRecommender": "repro.baselines.matrix_factorization",
+}
+
+__all__ = [*_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -66,7 +66,6 @@ from repro.privacy.accountant.rdp import load_special_functions
 __all__ = [
     "SCHEMA_VERSION",
     "STAGE_NAMES",
-    "add_bench_arguments",
     "compare_to_baseline",
     "measure_kernel_speedup",
     "measure_serving",
@@ -1042,61 +1041,6 @@ def _default_baseline() -> Path | None:
     source checkout (``src/repro/bench.py`` -> two parents up)."""
     candidate = Path(__file__).resolve().parents[2] / "BENCH_plp.json"
     return candidate if candidate.is_file() else None
-
-
-def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the ``repro bench`` flags to its subparser."""
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="seconds-scale smoke workload (CI); default is the full bench",
-    )
-    parser.add_argument("--out", default="BENCH_plp.json", help="report path")
-    parser.add_argument("--seed", type=int, default=7, help="workload seed")
-    parser.add_argument(
-        "--backend",
-        choices=("reference", "fast"),
-        default="reference",
-        help="compute backend for the pipeline training run (the kernel "
-        "comparison always times both backends)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="baseline report to diff against (default: the committed "
-        "repo-root BENCH_plp.json; 'none' disables the check)",
-    )
-    parser.add_argument(
-        "--serving-only",
-        action="store_true",
-        help="instead of the pipeline benchmark: run only the serving "
-        "section (asyncio server throughput, overload shedding, ANN "
-        "recall) and write a serving-only report",
-    )
-    parser.add_argument(
-        "--out-of-core",
-        action="store_true",
-        help="instead of the pipeline benchmark: materialize a "
-        "disk-backed corpus and train on it through the sharded "
-        "executor, reporting throughput and peak RSS",
-    )
-    parser.add_argument(
-        "--ooc-users", type=int, default=20_000,
-        help="corpus size (users) for --out-of-core",
-    )
-    parser.add_argument(
-        "--ooc-rounds", type=int, default=2,
-        help="training rounds for --out-of-core",
-    )
-    parser.add_argument(
-        "--ooc-workers", type=int, default=2,
-        help="sharded-executor workers for --out-of-core",
-    )
-    parser.add_argument(
-        "--rss-cap-mb", type=float, default=None,
-        help="with --out-of-core: fail (exit 4) when the process peak "
-        "RSS exceeds this many MiB",
-    )
 
 
 def _print_serving_summary(serving: dict) -> None:

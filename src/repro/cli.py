@@ -22,6 +22,10 @@ Training flags mirror :class:`~repro.core.config.PLPConfig` field names
 config can also be given as JSON via ``--config`` (a file path or an
 inline object), with explicit flags overriding the file through
 ``PLPConfig.with_overrides``.
+
+Each command imports its own stack inside its handler, and building the
+parser imports none of them: ``repro serve`` never loads the training
+engine, and ``repro --help`` loads no command's code.
 """
 
 from __future__ import annotations
@@ -30,27 +34,15 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.analysis.runner import add_lint_arguments, run_from_args
-from repro.attacks import MembershipInferenceAttack
-from repro.core.config import PLPConfig
-from repro.core.dpsgd import UserLevelDPSGD
-from repro.core.nonprivate import NonPrivateTrainer
-from repro.core.trainer import PrivateLocationPredictor
-from repro.data.checkins import CheckinDataset
-from repro.data.io import save_checkins_csv
-from repro.data.preprocessing import paper_preprocessing
-from repro.data.splitting import holdout_users_split, sessionize_dataset
-from repro.data.store import CheckinStore, open_corpus
-from repro.data.synthetic import (
-    SyntheticConfig,
-    generate_checkins,
-    materialize_synthetic_store,
-)
-from repro.eval.evaluator import LeaveOneOutEvaluator
 from repro.exceptions import ConfigError, ReproError
-from repro.models.serialization import load_recommender, save_deployable_model
+
+if TYPE_CHECKING:
+    from repro.core.config import PLPConfig
+    from repro.data.checkins import CheckinDataset
+    from repro.data.store import CheckinStore
+    from repro.serving.api import ServingConfig
 
 # Historical CLI defaults for the PLPConfig-backed train flags. Applied
 # only when the flag is absent AND no --config file supplies the field, so
@@ -326,9 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "per-backend kernel timings; diffs against the committed "
         "BENCH_plp.json baseline",
     )
-    from repro.bench import add_bench_arguments
-
-    add_bench_arguments(bench)
+    _add_bench_arguments(bench)
 
     sweep = subparsers.add_parser(
         "sweep",
@@ -394,7 +384,128 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: ``repro lint --format`` values: the keys of
+#: :data:`repro.analysis.violations.RENDERERS`, spelled out here so that
+#: building the parser imports no linter code.
+_LINT_FORMATS = ("github", "json", "text")
+
+
+def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
+    """Attach the dplint flags (``repro lint``, ``python -m repro.analysis``)."""
+    parser.add_argument(
+        "paths",
+        nargs="*",
+        default=["src"],
+        help="files or directories to lint (default: src)",
+    )
+    parser.add_argument(
+        "--format",
+        choices=_LINT_FORMATS,
+        default="text",
+        help="output format (github emits ::error workflow annotations)",
+    )
+    parser.add_argument(
+        "--select",
+        action="append",
+        default=None,
+        metavar="RULE",
+        help="run only these rule ids (repeatable)",
+    )
+    parser.add_argument(
+        "--ignore",
+        action="append",
+        default=None,
+        metavar="RULE",
+        help="skip these rule ids (repeatable)",
+    )
+    parser.add_argument(
+        "--changed",
+        action="store_true",
+        help=(
+            "report only violations in files changed vs git HEAD "
+            "(untracked files included; the full tree is still parsed "
+            "for whole-program context)"
+        ),
+    )
+    parser.add_argument(
+        "--sanitize",
+        action="store_true",
+        help=(
+            "after linting, run the dpsan runtime smoke (training "
+            "determinism + concurrency assertions); fails the run if "
+            "either the lint or the smoke fails"
+        ),
+    )
+    parser.add_argument(
+        "--list-rules", action="store_true", help="list the rules and exit"
+    )
+
+
+def _add_bench_arguments(parser: argparse.ArgumentParser) -> None:
+    """Attach the ``repro bench`` flags (run by :mod:`repro.bench`)."""
+    parser.add_argument(
+        "--quick", action="store_true",
+        help="seconds-scale smoke workload (CI); default is the full bench",
+    )
+    parser.add_argument("--out", default="BENCH_plp.json", help="report path")
+    parser.add_argument("--seed", type=int, default=7, help="workload seed")
+    parser.add_argument(
+        "--backend",
+        choices=("reference", "fast"),
+        default="reference",
+        help="compute backend for the pipeline training run (the kernel "
+        "comparison always times both backends)",
+    )
+    parser.add_argument(
+        "--baseline",
+        default=None,
+        metavar="PATH",
+        help="baseline report to diff against (default: the committed "
+        "repo-root BENCH_plp.json; 'none' disables the check)",
+    )
+    parser.add_argument(
+        "--serving-only",
+        action="store_true",
+        help="instead of the pipeline benchmark: run only the serving "
+        "section (asyncio server throughput, overload shedding, ANN "
+        "recall) and write a serving-only report",
+    )
+    parser.add_argument(
+        "--out-of-core",
+        action="store_true",
+        help="instead of the pipeline benchmark: materialize a "
+        "disk-backed corpus and train on it through the sharded "
+        "executor, reporting throughput and peak RSS",
+    )
+    parser.add_argument(
+        "--ooc-users", type=int, default=20_000,
+        help="corpus size (users) for --out-of-core",
+    )
+    parser.add_argument(
+        "--ooc-rounds", type=int, default=2,
+        help="training rounds for --out-of-core",
+    )
+    parser.add_argument(
+        "--ooc-workers", type=int, default=2,
+        help="sharded-executor workers for --out-of-core",
+    )
+    parser.add_argument(
+        "--rss-cap-mb", type=float, default=None,
+        help="with --out-of-core: fail (exit 4) when the process peak "
+        "RSS exceeds this many MiB",
+    )
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.data.checkins import CheckinDataset
+    from repro.data.io import save_checkins_csv
+    from repro.data.preprocessing import paper_preprocessing
+    from repro.data.synthetic import (
+        SyntheticConfig,
+        generate_checkins,
+        materialize_synthetic_store,
+    )
+
     config = SyntheticConfig(
         num_users=args.users,
         num_locations=args.locations,
@@ -421,6 +532,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _load_dataset(args: argparse.Namespace) -> CheckinDataset:
     """The corpus as an in-memory dataset (evaluate/audit need full passes)."""
+    from repro.data.checkins import CheckinDataset
+    from repro.data.preprocessing import paper_preprocessing
+    from repro.data.store import open_corpus
+    from repro.data.synthetic import SyntheticConfig, generate_checkins
+
     if getattr(args, "synthetic", False):
         checkins = paper_preprocessing(generate_checkins(SyntheticConfig(), rng=args.seed))
         return CheckinDataset(checkins)
@@ -436,6 +552,15 @@ def _resolve_train_corpus(args: argparse.Namespace) -> "CheckinDataset | Checkin
             without a multi-process executor, ``--shard-dir`` without
             ``--synthetic --executor sharded``).
     """
+    from repro.data.checkins import CheckinDataset
+    from repro.data.preprocessing import paper_preprocessing
+    from repro.data.store import open_corpus
+    from repro.data.synthetic import (
+        SyntheticConfig,
+        generate_checkins,
+        materialize_synthetic_store,
+    )
+
     if args.workers is not None and args.executor != "sharded":
         raise ConfigError(
             f"--workers only applies to --executor sharded, not {args.executor!r}"
@@ -485,6 +610,8 @@ def _resolve_train_config(args: argparse.Namespace) -> PLPConfig:
     Without ``--config``, the historical CLI defaults apply, so existing
     invocations train identically.
     """
+    from repro.core.config import PLPConfig
+
     explicit = {
         name: getattr(args, name)
         for name in _TRAIN_FLAG_DEFAULTS
@@ -497,6 +624,12 @@ def _resolve_train_config(args: argparse.Namespace) -> PLPConfig:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    from repro.core.dpsgd import UserLevelDPSGD
+    from repro.core.nonprivate import NonPrivateTrainer
+    from repro.core.trainer import PrivateLocationPredictor
+    from repro.data.store import CheckinStore
+    from repro.models.serialization import save_deployable_model
+
     corpus = _resolve_train_corpus(args)
     print(f"training on {corpus.num_users} users / {corpus.num_locations} POIs")
 
@@ -568,6 +701,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from repro.data.splitting import holdout_users_split, sessionize_dataset
+    from repro.eval.evaluator import LeaveOneOutEvaluator
+    from repro.models.serialization import load_recommender
+
     dataset = _load_dataset(args)
     _, holdout = holdout_users_split(dataset, args.holdout, rng=args.seed)
     recommender = load_recommender(args.model)
@@ -578,6 +715,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_recommend(args: argparse.Namespace) -> int:
+    from repro.models.serialization import load_recommender
+
     recommender = load_recommender(args.model)
     recent = [int(token.strip()) for token in args.recent.split(",") if token.strip()]
     results = recommender.recommend(recent, top_k=args.top_k)
@@ -587,7 +726,7 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_config_from_args(args: argparse.Namespace) -> "ServingConfig":
+def _serve_config_from_args(args: argparse.Namespace) -> ServingConfig:
     """Resolve the serve flags into a :class:`ServingConfig` value."""
     from repro.serving.api import ModelRef, ServingConfig
 
@@ -650,10 +789,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    dataset = _load_dataset(args)
-    train, holdout = holdout_users_split(dataset, args.holdout, rng=args.seed)
+    from repro.attacks.membership import MembershipInferenceAttack
+    from repro.data.splitting import holdout_users_split
     from repro.models.serialization import load_deployable_model
 
+    dataset = _load_dataset(args)
+    train, holdout = holdout_users_split(dataset, args.holdout, rng=args.seed)
     embeddings, vocabulary, privacy = load_deployable_model(args.model)
     attack = MembershipInferenceAttack(embeddings, vocabulary=vocabulary)
     members = [[history.locations()] for history in train][: args.holdout]
@@ -662,6 +803,12 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     print(f"model privacy metadata: {privacy}")
     print(result.summary())
     return 0
+
+
+def _cmd_lint(args: argparse.Namespace) -> int:
+    from repro.analysis.runner import run_from_args
+
+    return run_from_args(args)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -733,7 +880,7 @@ _COMMANDS = {
     "recommend": _cmd_recommend,
     "serve": _cmd_serve,
     "audit": _cmd_audit,
-    "lint": run_from_args,
+    "lint": _cmd_lint,
     "bench": _cmd_bench,
     "sweep": _cmd_sweep,
 }

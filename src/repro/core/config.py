@@ -203,4 +203,6 @@ class PLPConfig:
 
     def steps_per_epoch(self) -> int:
         """Steps per data epoch: ``1/q`` (Section 5.1)."""
-        return max(1, round(1.0 / self.sampling_probability))
+        from repro.privacy.accountant.calibration import steps_per_epoch
+
+        return steps_per_epoch(self.sampling_probability)

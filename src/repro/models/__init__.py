@@ -10,22 +10,19 @@ windows produce (target, context) training pairs
 next-location recommendation (:mod:`repro.models.recommender`).
 """
 
-from repro.models.vocabulary import LocationVocabulary
-from repro.models.windowing import (
-    BatchIterator,
-    pairs_from_sequence,
-    pairs_from_sequences,
-)
-from repro.models.skipgram import SkipGramModel
-from repro.models.embeddings import EmbeddingMatrix
-from repro.models.recommender import NextLocationRecommender
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LocationVocabulary",
-    "pairs_from_sequence",
-    "pairs_from_sequences",
-    "BatchIterator",
-    "SkipGramModel",
-    "EmbeddingMatrix",
-    "NextLocationRecommender",
-]
+#: Exported name -> the module that defines it, in ``__all__`` order.
+_EXPORTS = {
+    "LocationVocabulary": "repro.models.vocabulary",
+    "pairs_from_sequence": "repro.models.windowing",
+    "pairs_from_sequences": "repro.models.windowing",
+    "BatchIterator": "repro.models.windowing",
+    "SkipGramModel": "repro.models.skipgram",
+    "EmbeddingMatrix": "repro.models.embeddings",
+    "NextLocationRecommender": "repro.models.recommender",
+}
+
+__all__ = [*_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -7,35 +7,25 @@ NCE, sigmoid negative sampling) with exact analytic gradients, and the
 DP-Adam server optimizer.
 """
 
-from repro.nn.parameters import ParameterSet
-from repro.nn.initializers import uniform_embedding_init, zeros_init
-from repro.nn.functional import (
-    log_softmax,
-    logsumexp,
-    one_hot,
-    sigmoid,
-    softmax,
-)
-from repro.nn.losses import (
-    NegativeSamplingLoss,
-    NoiseContrastiveEstimationLoss,
-    SampledSoftmaxLoss,
-    make_loss,
-)
-from repro.nn.optimizers import DPAdam
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ParameterSet",
-    "uniform_embedding_init",
-    "zeros_init",
-    "softmax",
-    "log_softmax",
-    "sigmoid",
-    "logsumexp",
-    "one_hot",
-    "SampledSoftmaxLoss",
-    "NegativeSamplingLoss",
-    "NoiseContrastiveEstimationLoss",
-    "make_loss",
-    "DPAdam",
-]
+#: Exported name -> the module that defines it, in ``__all__`` order.
+_EXPORTS = {
+    "ParameterSet": "repro.nn.parameters",
+    "uniform_embedding_init": "repro.nn.initializers",
+    "zeros_init": "repro.nn.initializers",
+    "softmax": "repro.nn.functional",
+    "log_softmax": "repro.nn.functional",
+    "sigmoid": "repro.nn.functional",
+    "logsumexp": "repro.nn.functional",
+    "one_hot": "repro.nn.functional",
+    "SampledSoftmaxLoss": "repro.nn.losses",
+    "NegativeSamplingLoss": "repro.nn.losses",
+    "NoiseContrastiveEstimationLoss": "repro.nn.losses",
+    "make_loss": "repro.nn.losses",
+    "DPAdam": "repro.nn.optimizers",
+}
+
+__all__ = [*_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -61,8 +61,10 @@ class _BucketPlan:
     would add each duplicate into the row in turn — a different summation
     order with different bits — and the golden hash pins reduceat's order.
 
-    ``steps`` holds one ``(shared, targets, contexts, negatives,
-    scatters)`` tuple per batch, in compact row space.
+    ``steps`` holds one ``(step, operands, scatters)`` tuple per batch,
+    in compact row space: :func:`_shared_step` with ``(targets, contexts,
+    negatives)``, or :func:`_per_pair_step` with ``(targets, candidates)``,
+    the ``[contexts | negatives]`` matrix built here once.
     """
 
     __slots__ = ("rows", "params", "steps")
@@ -93,21 +95,22 @@ class _BucketPlan:
             pair_at += n
             negative_at += k
             if batch.shared:
-                segments += [batch_targets, batch_contexts, batch_negatives]
+                operands: tuple = (batch_targets, batch_contexts, batch_negatives)
+                inputs.append((_shared_step, operands))
+                segments += operands
             else:
-                batch_negatives = batch_negatives.reshape(n, -1)
                 candidates = np.concatenate(
-                    [batch_contexts[:, None], batch_negatives], axis=1
+                    [batch_contexts[:, None], batch_negatives.reshape(n, -1)], axis=1
                 )
+                inputs.append((_per_pair_step, (batch_targets, candidates)))
                 segments += [batch_targets, candidates.ravel()]
-            inputs.append((batch.shared, batch_targets, batch_contexts, batch_negatives))
 
         scatters = plan_row_scatters(segments)
         self.steps: list[tuple] = []
         at = 0
-        for step in inputs:
-            width = 3 if step[0] else 2
-            self.steps.append((*step, scatters[at : at + width]))
+        for step, operands in inputs:
+            width = len(operands)
+            self.steps.append((step, operands, scatters[at : at + width]))
             at += width
 
     def collect_delta(
@@ -127,18 +130,18 @@ def _per_pair_step(
     loss: CandidateSamplingLoss,
     params: ParameterSet,
     targets: np.ndarray,
-    contexts: np.ndarray,
-    negatives: np.ndarray,
+    candidates: np.ndarray,
     scatters: Sequence[RowScatter],
     learning_rate: float,
 ) -> float:
-    """One in-place SGD step with per-pair negatives ``(batch, neg)``;
-    returns the mean batch loss before the step.
+    """One in-place SGD step with per-pair negatives; returns the mean
+    batch loss before the step.
 
-    ``scatters`` are the batch's compiled row scatters: targets, then the
-    flattened candidates (used for both ``Wc`` and ``b``).
+    ``candidates`` is ``(batch, 1 + neg)``: each pair's context, then its
+    negatives. ``scatters`` are the batch's compiled row scatters:
+    targets, then the flattened candidates (used for both ``Wc`` and
+    ``b``).
     """
-    candidates = np.concatenate([contexts[:, None], negatives], axis=1)
     hidden = params[EMBEDDING][targets]  # (batch, dim)
     context_rows = params[CONTEXT][candidates]  # (batch, 1+neg, dim)
     logits = (
@@ -222,10 +225,8 @@ def _bucket_update(
     plan = _BucketPlan(theta, batches)
     work = plan.params
     losses: list[float] = []
-    for shared, targets, contexts, negatives, scatters in plan.steps:
-        step = _shared_step if shared else _per_pair_step
-        loss = step(spec.loss, work, targets, contexts, negatives, scatters, spec.learning_rate)
-        losses.append(loss)
+    for step, operands, scatters in plan.steps:
+        losses.append(step(spec.loss, work, *operands, scatters, spec.learning_rate))
 
     rows, values = plan.collect_delta(theta)
     unclipped_norm = clip_bucket_delta(values, spec.clip_bound, spec.clipping)

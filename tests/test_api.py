@@ -7,10 +7,15 @@ code is documented to call them.
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
 import repro
+import repro.baselines
+import repro.models
+import repro.nn
 from repro.core.config import PLPConfig
 from repro.exceptions import ConfigError
 from repro.models.embeddings import EmbeddingMatrix
@@ -32,6 +37,28 @@ def test_facade_names_exported_from_package_root():
     for name in ("train", "load", "evaluate", "TrainedModel"):
         assert name in repro.__all__
         assert callable(getattr(repro, name))
+
+
+@pytest.mark.parametrize("package", [repro, repro.models, repro.nn, repro.baselines])
+class TestLazyExports:
+    """Package exports load their module on first access (``repro._lazy``)."""
+
+    def test_every_export_is_the_leaf_modules_object(self, package):
+        exports = package._EXPORTS
+        assert [name for name in package.__all__ if name != "__version__"] == list(exports)
+        for name, source in exports.items():
+            assert getattr(package, name) is getattr(importlib.import_module(source), name)
+
+    def test_dir_lists_every_export(self, package):
+        assert set(package.__all__) <= set(dir(package))
+
+    def test_from_import_and_unknown_names(self, package):
+        name = package.__all__[-1]
+        namespace: dict = {}
+        exec(f"from {package.__name__} import {name}", namespace)
+        assert namespace[name] is getattr(package, name)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            package.no_such_name
 
 
 class TestTrainedModel:

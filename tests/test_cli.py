@@ -258,3 +258,15 @@ class TestAudit:
         out = capsys.readouterr().out
         assert "MIA AUC" in out
         assert "epsilon" in out
+
+
+class TestLintParser:
+    def test_format_choices_are_the_renderers(self):
+        from repro.analysis.violations import RENDERERS
+
+        parser = _build_parser()
+        for fmt in sorted(RENDERERS):
+            args = parser.parse_args(["lint", "--format", fmt])
+            assert args.format == fmt
+        with pytest.raises(SystemExit):
+            parser.parse_args(["lint", "--format", "xml"])

@@ -1,8 +1,10 @@
-"""SciPy loads only where it is called.
+"""Each process imports only the stack it runs.
 
 ``import repro``, the CLI and a serving process load no SciPy module;
 training loads ``scipy.special`` (the accountant's RDP series) but not
-``scipy.stats``. Each check runs its code in a fresh interpreter and
+``scipy.stats``. A serving process, and the ``repro serve`` parser, load
+no training, privacy, data, linter or benchmark code and no
+``multiprocessing``. Each check runs its code in a fresh interpreter and
 compares module sets, so the footprint is pinned without timing anything.
 """
 
@@ -15,6 +17,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import repro
 from repro.models.embeddings import EmbeddingMatrix
@@ -25,12 +28,25 @@ _SRC = str(Path(repro.__file__).resolve().parents[1])
 
 _REPORT = """
 import json, sys
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(sys.modules)))
 """
 
+#: Packages a serving process never runs: a module of any of them, or
+#: the packages themselves, loading on the serving path is a regression.
+_NOT_SERVING = (
+    "repro.core",
+    "repro.privacy",
+    "repro.nn.backends",
+    "repro.analysis",
+    "repro.bench",
+    "repro.experiments",
+    "repro.data",
+    "multiprocessing",
+)
 
-def _scipy_modules(code: str, *args: str) -> set[str]:
-    """The SciPy modules loaded once ``code`` has run in a fresh interpreter."""
+
+def _modules(code: str, *args: str) -> set[str]:
+    """Every module loaded once ``code`` has run in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
     result = subprocess.run(
@@ -41,8 +57,30 @@ def _scipy_modules(code: str, *args: str) -> set[str]:
     return set(json.loads(result.stdout.splitlines()[-1]))
 
 
+def _scipy_modules(code: str, *args: str) -> set[str]:
+    """The SciPy modules loaded once ``code`` has run in a fresh interpreter."""
+    return {m for m in _modules(code, *args) if m.split(".")[0] == "scipy"}
+
+
+def _training_modules(modules: set[str]) -> set[str]:
+    """The members of ``modules`` that lie in a package serving never runs."""
+    return {
+        m for m in modules
+        if any(m == package or m.startswith(package + ".") for package in _NOT_SERVING)
+    }
+
+
 def test_import_repro_and_cli_load_no_scipy():
     assert _scipy_modules("import repro\nimport repro.cli") == set()
+
+
+def test_serve_parser_loads_no_training_stack():
+    modules = _modules(
+        "from repro.cli import _build_parser\n"
+        "_build_parser().parse_args(['serve', 'model.npz', '--port', '0'])"
+    )
+    assert "repro.cli" in modules
+    assert _training_modules(modules) == set()
 
 
 _SERVE = """
@@ -68,7 +106,8 @@ service.close()
 """
 
 
-def test_serving_an_artifact_loads_no_scipy(tmp_path):
+@pytest.fixture
+def artifact(tmp_path):
     rng = np.random.default_rng(5)
     vocabulary = LocationVocabulary.from_locations(
         [f"poi-{i}" for i in range(20)], counts=[20 - i for i in range(20)]
@@ -80,7 +119,17 @@ def test_serving_an_artifact_loads_no_scipy(tmp_path):
         vocabulary,
         privacy_metadata={"epsilon": 2.0, "delta": 2e-4, "mechanism": "PLP"},
     )
-    assert _scipy_modules(_SERVE, str(path)) == set()
+    return path
+
+
+def test_serving_an_artifact_loads_no_scipy(artifact):
+    assert _scipy_modules(_SERVE, str(artifact)) == set()
+
+
+def test_serving_an_artifact_loads_no_training_stack(artifact):
+    modules = _modules(_SERVE, str(artifact))
+    assert "repro.serving.asgi" in modules
+    assert _training_modules(modules) == set()
 
 
 _TRAIN = """
