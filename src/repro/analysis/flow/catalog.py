@@ -198,6 +198,7 @@ SHARED_STATE_CLASSES: frozenset[str] = frozenset(
         "MicroBatcher",
         "SerialExecutor",
         "ShardedExecutor",
+        "WorkerPool",
         "StepPipeline",
         "ShardedCheckinStore",
         "StorePairSource",

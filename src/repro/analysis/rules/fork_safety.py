@@ -7,8 +7,12 @@ construction program-wide: no lock, mmap handle, open file, socket,
 thread, or live RNG object may appear in
 
 1. a ``*SourceSpec(...)`` constructor call's arguments,
-2. the arguments of a ``.submit(...)`` on an executor pool,
-3. the ``initargs=`` tuple of a ``ProcessPoolExecutor(...)``, or
+2. the arguments of a ``.submit(...)`` on an executor pool, or of a
+   ``.as_completed(...)`` on a :class:`~repro.core.engine.pool.WorkerPool`
+   (the jobs every caller hands the one process pool),
+3. the ``initargs=`` tuple of a ``ProcessPoolExecutor(...)``, or the
+   arguments of a ``WorkerPool(...)`` (its ``setup_args`` reach every
+   worker), or
 4. the declared fields of a ``*SourceSpec`` class body.
 
 Matching is by identifier: every ``Name``/``Attribute``/keyword identifier
@@ -40,6 +44,8 @@ if TYPE_CHECKING:
 
 _SPEC_SUFFIX = "SourceSpec"
 _POOL_FACTORY = "ProcessPoolExecutor"
+_WORKER_POOL = "WorkerPool"
+_SUBMISSIONS = ("submit", "as_completed")
 
 
 @register
@@ -84,10 +90,10 @@ class ForkPickleSafety(ProgramRule):
             return self._check_payload(
                 module, call, f"`{name}(...)` spec construction"
             )
-        if name == "submit" and isinstance(func, ast.Attribute):
-            return self._check_payload(
-                module, call, "a `.submit(...)` worker submission"
-            )
+        if name == _WORKER_POOL or (
+            name in _SUBMISSIONS and isinstance(func, ast.Attribute)
+        ):
+            return self._check_payload(module, call, f"a `{name}(...)` worker payload")
         if name == _POOL_FACTORY:
             violations: list[Violation] = []
             for kw in call.keywords:

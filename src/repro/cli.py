@@ -152,7 +152,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker processes for --executor sharded (default: all cores)",
+        help="worker processes for --executor sharded (default: the cores "
+        "this process may run on)",
     )
     train.add_argument(
         "--shard-dir",
@@ -363,7 +364,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="smoke",
         help="figure scale for --figures (default: smoke)",
     )
-    sweep.add_argument("--fault-marker", default=None, help=argparse.SUPPRESS)
     sweep.add_argument(
         "--trace-jsonl",
         default=None,
@@ -853,7 +853,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     workers=args.workers,
                     resume=args.resume,
                     halt_after=args.halt_after,
-                    fault_marker=args.fault_marker,
                     observability=observability,
                 )
             ]

@@ -25,19 +25,17 @@ the downstream floating-point summation order matches the serial run.
 
 Failure contract: if any bucket job raises, the step fails eagerly with
 :class:`repro.exceptions.ExecutorError` (original exception chained as
-``__cause__``). A *worker death* breaks the whole pool: the process pool
-rebuilds it and **retries the round** a bounded number of times — safe
-because jobs are pure functions of their pre-derived seeds, so a retry is
+``__cause__``). A *worker death* breaks the whole pool: the
+:class:`~repro.core.engine.pool.WorkerPool` rebuilds it and reruns only
+the shards that had not finished, a bounded number of times — safe
+because jobs are pure functions of their pre-derived seeds, so a rerun is
 bit-identical to an undisturbed run.
 """
 
 from __future__ import annotations
 
 import abc
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -45,7 +43,7 @@ import numpy as np
 
 from repro.core._pairs import PairSource, PairSourceSpec
 from repro.core.bucket import BucketUpdate, model_updates_from_buckets
-from repro.core.engine.blas import available_cores, limit_blas_threads
+from repro.core.engine.pool import WorkerPool
 from repro.core.grouping import build_bucket_arrays
 from repro.exceptions import ConfigError, ExecutorError
 from repro.models.skipgram import SkipGramModel
@@ -154,7 +152,7 @@ class BucketExecutor(abc.ABC):
         """Execute all jobs; return their updates in bucket-index order.
 
         Raises:
-            ExecutorError: when any job raises or a worker dies.
+            ExecutorError: when any job raises, or workers keep dying.
         """
 
     def configure(self, source_spec: PairSourceSpec | None) -> None:
@@ -192,44 +190,15 @@ class SerialExecutor(BucketExecutor):
 
 
 # Worker-process state of the process pool, set once per worker by the
-# pool initializer. A module-level global (not a closure) because the pool
-# initializer must be a picklable top-level callable.
+# pool setup. A module-level global (not a closure) because the setup must
+# be a picklable top-level callable.
 _WORKER_SOURCE: PairSource | None = None
-_WORKER_FAULT_MARKER: str | None = None
 
 
-def _init_shard_worker(
-    source_spec: PairSourceSpec | None, fault_marker: str | None, max_workers: int
-) -> None:
-    """Pool initializer: rebuild the read-only pair source in this worker.
-
-    Also caps the worker's BLAS threads at its share of the cores: a
-    forked worker inherits the coordinator's one-thread-per-core OpenBLAS,
-    and ``max_workers`` such pools would oversubscribe the host. The cap
-    never raises the inherited count (see
-    :func:`~repro.core.engine.blas.limit_blas_threads`).
-    """
-    global _WORKER_SOURCE, _WORKER_FAULT_MARKER
-    limit_blas_threads(available_cores() // max_workers)
+def _init_shard_worker(source_spec: PairSourceSpec | None) -> None:
+    """Pool setup: rebuild the read-only pair source in this worker."""
+    global _WORKER_SOURCE
     _WORKER_SOURCE = source_spec.build() if source_spec is not None else None
-    _WORKER_FAULT_MARKER = fault_marker
-
-
-def _maybe_inject_fault() -> None:
-    """Fault-injection hook for the worker-death tests.
-
-    When a marker file exists, exactly one worker claims it (the atomic
-    ``os.replace`` succeeds for a single process) and dies hard — the
-    closest controllable stand-in for an OOM-killed or crashed worker.
-    """
-    marker = _WORKER_FAULT_MARKER
-    if marker is None:
-        return
-    try:
-        os.replace(marker, marker + ".claimed")
-    except OSError:
-        return
-    os._exit(1)
 
 
 def _resolve_deferred_job(source: PairSource | None, job: BucketJob) -> BucketJob:
@@ -258,19 +227,8 @@ def _run_sharded_chunk(
     spec: LocalTrainSpec, jobs: list[BucketJob]
 ) -> list[BucketUpdate]:
     """Worker entry point: resolve deferred jobs locally, then run."""
-    _maybe_inject_fault()
     resolved = [_resolve_deferred_job(_WORKER_SOURCE, job) for job in jobs]
     return run_bucket_chunk(spec, resolved)
-
-
-class _RoundBroken(Exception):
-    """Internal: a worker died mid-round; the pool is unusable."""
-
-    def __init__(self, error: BaseException, first: int, last: int) -> None:
-        super().__init__(f"worker died while executing buckets {first}..{last}")
-        self.error = error
-        self.first = first
-        self.last = last
 
 
 class ShardedExecutor(BucketExecutor):
@@ -296,19 +254,12 @@ class ShardedExecutor(BucketExecutor):
     for aggregation, noising, and accounting — so the privacy ledger is
     bit-identical to a serial run. The executor object itself follows the
     same single-writer discipline: only the coordinating trainer thread
-    mutates it (pool lifecycle, spec, observability bindings); dpsan
-    asserts this at runtime.
-
-    Fault tolerance: a worker death breaks the process pool mid-round. The
-    executor closes the broken pool, rebuilds it (workers re-run the
-    initializer), and retries the **whole round** — deterministically,
-    because jobs are pure functions of their pre-derived seeds — up to
-    ``max_round_retries`` times before surfacing an
-    :class:`~repro.exceptions.ExecutorError`.
+    mutates it (pool lifecycle, spec, observability bindings). The shards
+    run on a :class:`~repro.core.engine.pool.WorkerPool`, which reruns only
+    the unfinished shards after a worker death.
 
     Args:
-        max_workers: worker process count (default: ``os.cpu_count()``).
-        max_round_retries: worker-death round retries before giving up.
+        max_workers: worker process count (default: the available cores).
         fault_marker: path to a fault-injection marker file (tests only);
             when the file exists, exactly one worker claims it and dies.
     """
@@ -316,30 +267,29 @@ class ShardedExecutor(BucketExecutor):
     out_of_process = True
 
     def __init__(
-        self,
-        max_workers: int | None = None,
-        max_round_retries: int = 2,
-        fault_marker: str | None = None,
+        self, max_workers: int | None = None, fault_marker: str | None = None
     ) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ConfigError(f"max_workers must be >= 1, got {max_workers}")
-        if max_round_retries < 0:
-            raise ConfigError(
-                f"max_round_retries must be >= 0, got {max_round_retries}"
-            )
-        self.max_workers = max_workers or (os.cpu_count() or 1)
-        self.max_round_retries = max_round_retries
         self._fault_marker = fault_marker
         self._source_spec: PairSourceSpec | None = None
-        self._pool: ProcessPoolExecutor | None = None
+        self._pool = self._new_pool(max_workers)
+        self.max_workers = self._pool.max_workers
         self._observability: "Observability | None" = None
         self._metrics: "ShardMetrics | None" = None
 
+    def _new_pool(self, max_workers: int | None) -> WorkerPool:
+        return WorkerPool(
+            max_workers,
+            setup=_init_shard_worker,
+            setup_args=(self._source_spec,),
+            fault_marker=self._fault_marker,
+        )
+
     def configure(self, source_spec: PairSourceSpec | None) -> None:
         """Receive the run's pair-source spec; workers rebuild from it."""
-        if self._pool is not None and source_spec is not self._source_spec:
+        if source_spec is not self._source_spec:
             self.close()  # a new run's source invalidates the old workers
-        self._source_spec = source_spec
+            self._source_spec = source_spec
+            self._pool = self._new_pool(self.max_workers)
 
     def bind_observability(self, observability: "Observability | None") -> None:
         """Bind the run's bundle; a reused executor rebinds for every run."""
@@ -350,96 +300,44 @@ class ShardedExecutor(BucketExecutor):
 
             self._metrics = ShardMetrics(observability.metrics)
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.max_workers,
-                initializer=_init_shard_worker,
-                initargs=(self._source_spec, self._fault_marker, self.max_workers),
-            )
-        return self._pool
-
     def run_step(
         self, spec: LocalTrainSpec, jobs: list[BucketJob]
     ) -> list[BucketUpdate]:
         if not jobs:
             return []
-        retries = 0
-        while True:
-            try:
-                return self._run_round(spec, jobs)
-            except _RoundBroken as broken:
-                self.close()  # rebuild the pool (and re-init workers) on retry
-                retries += 1
-                if self._metrics is not None:
-                    self._metrics.retries.inc()
-                if retries > self.max_round_retries:
-                    raise ExecutorError(
-                        f"{broken}; retry budget ({self.max_round_retries}) "
-                        "exhausted"
-                    ) from broken.error
-
-    def _run_round(
-        self, spec: LocalTrainSpec, jobs: list[BucketJob]
-    ) -> list[BucketUpdate]:
-        pool = self._ensure_pool()
         chunks = _chunk_evenly(jobs, self.max_workers)
+        results: dict[int, list[BucketUpdate]] = {}
+        rebuilds = self._pool.rebuilds
         try:
-            futures = [
-                pool.submit(_run_sharded_chunk, spec, chunk) for chunk in chunks
-            ]
-        except BrokenProcessPool as error:
-            raise _RoundBroken(error, jobs[0].index, jobs[-1].index) from error
-        updates: list[BucketUpdate] = []
-        shard_stats: list[tuple[int, int, float]] = []
-        failure: BaseException | None = None
-        failed_index: int | None = None
-        for shard, (chunk, future) in enumerate(zip(chunks, futures)):
-            if failure is not None:
-                future.cancel()
-                continue
-            try:
-                chunk_updates = future.result()
-            except BrokenProcessPool as error:
-                raise _RoundBroken(
-                    error, chunk[0].index, chunk[-1].index
-                ) from error
-            except Exception as error:  # noqa: BLE001 - rewrapped with context
-                failure = error
-                failed_index = chunk[0].index
-                continue
-            updates.extend(chunk_updates)
-            shard_stats.append(
-                (
-                    shard,
-                    len(chunk),
-                    sum(u.wall_time_seconds for u in chunk_updates),
-                )
-            )
-        if failure is not None:
-            raise ExecutorError(
-                f"a bucket job in shard starting at bucket {failed_index} "
-                f"failed during local training: {failure}"
-            ) from failure
-        self._record_round(shard_stats)
-        return updates
-
-    def _record_round(self, shard_stats: list[tuple[int, int, float]]) -> None:
+            for shard, future in self._pool.as_completed(
+                _run_sharded_chunk, [(spec, chunk) for chunk in chunks]
+            ):
+                try:
+                    results[shard] = future.result()
+                except Exception as error:  # noqa: BLE001 - rewrapped with context
+                    raise ExecutorError(
+                        f"a bucket job in shard starting at bucket "
+                        f"{chunks[shard][0].index} failed during local "
+                        f"training: {error}"
+                    ) from error
+        finally:
+            if self._metrics is not None and self._pool.rebuilds > rebuilds:
+                self._metrics.retries.inc(self._pool.rebuilds - rebuilds)
         if self._metrics is not None:
             self._metrics.rounds.inc()
-            for shard, buckets, seconds in shard_stats:
+        for shard, chunk in enumerate(chunks):
+            seconds = sum(update.wall_time_seconds for update in results[shard])
+            if self._metrics is not None:
                 self._metrics.shard_seconds.observe(seconds, shard=shard)
-                self._metrics.shard_buckets.inc(buckets, shard=shard)
-        if self._observability is not None:
-            for shard, buckets, seconds in shard_stats:
+                self._metrics.shard_buckets.inc(len(chunk), shard=shard)
+            if self._observability is not None:
                 self._observability.record_span(
-                    "engine.shard", seconds, shard=shard, buckets=buckets
+                    "engine.shard", seconds, shard=shard, buckets=len(chunk)
                 )
+        return [update for shard in range(len(chunks)) for update in results[shard]]
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
+        self._pool.close()
 
 
 def _chunk_evenly(jobs: list[BucketJob], parts: int) -> list[list[BucketJob]]:

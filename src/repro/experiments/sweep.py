@@ -10,9 +10,9 @@ workload + config + method + seed material, independent of its position
 in the grid) and a draw-free trainer sub-stream derived via
 :func:`repro.rng.derive`.
 
-:func:`run_sweep` executes that list through a process-pool work queue
-(reusing the conventions of :mod:`repro.core.engine.executors`: plain
-picklable payloads, a persistent initializer, deterministic retry after
+:func:`run_sweep` executes that list on the
+:class:`~repro.core.engine.pool.WorkerPool` that sharded training uses
+(plain picklable payloads, a per-worker setup, deterministic reruns after
 a worker death), writing one atomic outcome file per run under the
 output directory. A ``sweep.json`` manifest plus those outcome files
 make the sweep resumable: a killed sweep restarted with ``resume=True``
@@ -36,14 +36,12 @@ import json
 import os
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.core.config import PLPConfig
-from repro.core.engine.blas import available_cores, limit_blas_threads
+from repro.core.engine.pool import WorkerPool
 from repro.data.checkins import CheckinDataset
 from repro.data.preprocessing import paper_preprocessing
 from repro.data.splitting import holdout_users_split
@@ -517,61 +515,26 @@ class _WorkerState:
 
 
 _WORKER_STATE: _WorkerState | None = None
-_FAULT_MARKER: str | None = None
 
 
-def _init_sweep_worker(
-    payload: dict[str, Any], fault_marker: str | None, max_workers: int
-) -> None:
-    """Process-pool initializer: build this worker's runner once.
+def _init_sweep_worker(payload: dict[str, Any]) -> None:
+    """Pool setup: build this worker's runner once.
 
-    Also caps the worker's BLAS threads at its share of the cores, as
-    the sharded executor's workers do: forked workers inherit the
-    coordinator's one-thread-per-core OpenBLAS and would oversubscribe
-    the host. The cap never raises the inherited count. SciPy brings its
-    own OpenBLAS, mapped when ``scipy.special`` loads; every run builds a
-    privacy ledger, which loads it, so it is loaded here first and the
-    cap covers it too.
+    Also loads ``scipy.special``, which maps SciPy's own OpenBLAS: every
+    run builds a privacy ledger, which would load it later, after the
+    pool has capped the worker's BLAS threads, and it would then run one
+    thread per core.
     """
-    global _WORKER_STATE, _FAULT_MARKER
+    global _WORKER_STATE
     load_special_functions()
-    limit_blas_threads(available_cores() // max_workers)
     _WORKER_STATE = _WorkerState.from_payload(payload)
-    _FAULT_MARKER = fault_marker
 
 
-def _maybe_inject_fault() -> None:
-    """Die abruptly once if this worker claims the fault marker (tests)."""
-    marker = _FAULT_MARKER
-    if not marker:
-        return
-    claimed = marker + ".claimed"
-    try:
-        os.replace(marker, claimed)
-    except OSError:
-        return  # another worker claimed it (or it was never created)
-    os._exit(1)
-
-
-def _sweep_job(
-    run_id: str,
-    index: int,
-    overrides: dict[str, Any],
-    method: str,
-    seed_index: int,
-) -> tuple[str, dict[str, Any]]:
+def _sweep_job(run: SweepRun) -> dict[str, Any]:
     """Execute one run inside a pool worker; returns its outcome dict."""
-    _maybe_inject_fault()
     if _WORKER_STATE is None:  # pragma: no cover - initializer contract
         raise ExecutorError("sweep worker used before initialization")
-    run = SweepRun(
-        run_id=run_id,
-        index=index,
-        overrides=dict(overrides),
-        method=method,
-        seed_index=seed_index,
-    )
-    return run_id, _WORKER_STATE.execute(run).as_dict()
+    return _WORKER_STATE.execute(run).as_dict()
 
 
 def _outcome_path(out_dir: Path, run_id: str) -> Path:
@@ -814,82 +777,42 @@ def _run_parallel(
     workers: int,
     fault_marker: str | None,
     on_outcome: Callable[[SweepRun, RunOutcome], bool],
-    max_pool_rebuilds: int,
 ) -> tuple[bool, int]:
-    """Dispatch ``pending`` across a process pool with death-retry.
+    """Dispatch ``pending`` across a :class:`WorkerPool`.
 
     ``on_outcome`` persists each result and returns ``True`` to halt
-    dispatch (halt budget exhausted). A worker death poisons the whole
-    pool (``BrokenProcessPool``); completed results are kept, the pool
-    is rebuilt, and only still-missing runs are resubmitted — reruns are
-    deterministic because every run is a pure function of its derived
-    seed. Returns ``(halted, pool_rebuilds)``.
+    dispatch (halt budget exhausted). The pool survives worker deaths by
+    resubmitting only the runs whose outcomes have not come back — reruns
+    are deterministic because every run is a pure function of its
+    derived seed. Returns ``(halted, pool_rebuilds)``.
     """
-    payload = spec.as_dict()
-    remaining: dict[str, SweepRun] = {run.run_id: run for run in pending}
-    rebuilds = 0
-    halted = False
-    while remaining and not halted:
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_sweep_worker,
-            initargs=(payload, fault_marker, workers),
-        )
-        broken = False
-        try:
-            futures = {
-                pool.submit(
-                    _sweep_job,
-                    run.run_id,
-                    run.index,
-                    dict(run.overrides),
-                    run.method,
-                    run.seed_index,
-                ): run
-                for run in remaining.values()
-            }
-            waiting = set(futures)
-            while waiting and not halted:
-                done, waiting = wait(waiting, return_when=FIRST_COMPLETED)
-                for future in done:
-                    run = futures[future]
-                    try:
-                        _, outcome_payload = future.result()
-                    except BrokenProcessPool:
-                        broken = True
-                        continue
-                    except Exception:
-                        # The job itself never raises for training errors
-                        # (run_one converts those); anything here is an
-                        # orchestration failure worth recording per-run.
-                        outcome_payload = RunOutcome(
-                            parameters=dict(run.overrides),
-                            method=run.method,
-                            hit_rate={},
-                            steps=0,
-                            epsilon_spent=0.0,
-                            train_seconds=0.0,
-                            error=traceback.format_exc(),
-                        ).as_dict()
-                    outcome = RunOutcome.from_dict(outcome_payload)
-                    remaining.pop(run.run_id, None)
-                    if on_outcome(run, outcome):
-                        halted = True
-                        break
-                if broken:
-                    break
-        except BrokenProcessPool:  # pragma: no cover - submit-time death
-            broken = True
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        if broken and remaining and not halted:
-            rebuilds += 1
-            if rebuilds > max_pool_rebuilds:
-                raise ExecutorError(
-                    f"sweep worker pool died {rebuilds} times; giving up with "
-                    f"{len(remaining)} runs outstanding"
+    with WorkerPool(
+        workers,
+        setup=_init_sweep_worker,
+        setup_args=(spec.as_dict(),),
+        fault_marker=fault_marker,
+    ) as pool:
+        jobs = [(run,) for run in pending]
+        for position, future in pool.as_completed(_sweep_job, jobs):
+            run = pending[position]
+            try:
+                outcome = RunOutcome.from_dict(future.result())
+            except Exception:
+                # The job itself never raises for training errors
+                # (run_one converts those); anything here is an
+                # orchestration failure worth recording per-run.
+                outcome = RunOutcome(
+                    parameters=dict(run.overrides),
+                    method=run.method,
+                    hit_rate={},
+                    steps=0,
+                    epsilon_spent=0.0,
+                    train_seconds=0.0,
+                    error=traceback.format_exc(),
                 )
-    return halted, rebuilds
+            if on_outcome(run, outcome):
+                return True, pool.rebuilds
+        return False, pool.rebuilds
 
 
 def run_sweep(
@@ -900,7 +823,6 @@ def run_sweep(
     resume: bool = False,
     halt_after: int | None = None,
     fault_marker: str | None = None,
-    max_pool_rebuilds: int = 3,
     observability: Observability | None = None,
 ) -> SweepReport:
     """Execute a sweep with resumable state under ``out_dir``.
@@ -918,7 +840,6 @@ def run_sweep(
             partial state on disk is resumable.
         fault_marker: path to a fault-injection marker file; the first
             worker to claim it dies abruptly (tests only).
-        max_pool_rebuilds: worker-death retries before giving up.
         observability: optional bundle fed ``repro_sweep_*`` metrics
             and ``sweep``/``sweep.run`` spans.
 
@@ -930,7 +851,8 @@ def run_sweep(
         ConfigError: invalid spec, incompatible manifest, or a
             non-resume launch into a directory that already holds this
             sweep.
-        ExecutorError: the worker pool kept dying past the retry budget.
+        ExecutorError: the worker pool kept dying past its rebuild budget
+            (:data:`repro.core.engine.pool.MAX_REBUILDS`).
     """
     started = time.perf_counter()
     if int(workers) < 1:
@@ -994,7 +916,6 @@ def run_sweep(
                 workers=int(workers),
                 fault_marker=fault_marker,
                 on_outcome=record,
-                max_pool_rebuilds=max_pool_rebuilds,
             )
             halted = halted and len(completed) < len(runs)
             if metrics is not None and rebuilds:

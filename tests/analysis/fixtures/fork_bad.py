@@ -2,6 +2,8 @@
 
 from concurrent.futures import ProcessPoolExecutor
 
+from repro.core.engine.pool import WorkerPool
+
 
 class LeakySourceSpec:
     path: str
@@ -21,6 +23,20 @@ def submit_job(pool, job, state_lock):
 def make_pool(shared_mmap):
     # An mmap handle shipped through the pool initializer.
     return ProcessPoolExecutor(max_workers=2, initargs=(shared_mmap,))
+
+
+def worker_pool_with_mmap(corpus_mmap):
+    # An mmap handle shipped to every worker through the pool's setup.
+    return WorkerPool(2, setup=open_worker, setup_args=(corpus_mmap,))
+
+
+def run_on_pool(pool, jobs, job_file):
+    # An open file riding along in the jobs handed to the pool.
+    return pool.as_completed(run_job, [(job, job_file) for job in jobs])
+
+
+def open_worker(mapped):
+    return mapped
 
 
 def run_job(job, lock):

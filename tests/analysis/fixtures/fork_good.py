@@ -2,6 +2,8 @@
 
 from concurrent.futures import ProcessPoolExecutor
 
+from repro.core.engine.pool import WorkerPool
+
 
 class PathSourceSpec:
     path: str
@@ -20,6 +22,15 @@ def submit_job(pool, spec, jobs, seeds):
 
 def make_pool(spec, fault_marker):
     return ProcessPoolExecutor(max_workers=2, initargs=(spec, fault_marker))
+
+
+def run_on_pool(spec, jobs, fault_marker):
+    with WorkerPool(2, setup=open_worker, setup_args=(spec,), fault_marker=fault_marker) as pool:
+        return list(pool.as_completed(run_chunk, [(spec, job, None) for job in jobs]))
+
+
+def open_worker(spec):
+    return spec
 
 
 def run_chunk(spec, jobs, seeds):

@@ -23,13 +23,16 @@ class TestFlaggedFixture:
         violations = lint_fixture("fork_bad.py", CORE_PATH, select=("DPL008",))
         assert rule_ids(violations) == {"DPL008"}
         messages = " ".join(v.message for v in violations)
-        # Spec field, spec kwarg value + name, submit arg, pool initargs.
+        # Spec field, spec kwarg value + name, submit arg, pool initargs,
+        # WorkerPool setup args, WorkerPool jobs.
         assert "shard_rng" in messages
         assert "rng" in messages
         assert "log_file" in messages
         assert "state_lock" in messages
         assert "shared_mmap" in messages
-        assert len(violations) >= 5
+        assert "corpus_mmap" in messages
+        assert "job_file" in messages
+        assert len(violations) >= 7
 
 
 class TestCleanFixture:

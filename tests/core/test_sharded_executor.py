@@ -26,7 +26,6 @@ from repro.core.engine import (
     TrainingEngine,
     make_executor,
 )
-from repro.core.engine.blas import available_cores, blas_threads, limit_blas_threads
 from repro.core.trainer import PrivateLocationPredictor
 from repro.data.checkins import CheckinDataset
 from repro.data.store import write_sharded_store
@@ -187,26 +186,6 @@ class TestFaultTolerance:
         assert not marker.exists()
         _assert_same_run(serial, survived)
 
-    def test_retry_budget_exhaustion_raises(self, corpus_dir, tmp_path):
-        # A marker that re-arms on every claim exhausts the retry budget.
-        config = _fast_config(max_steps=1)
-        marker = tmp_path / "always-dead"
-
-        class RearmingExecutor(ShardedExecutor):
-            def run_step(self, spec, jobs):
-                marker.touch()
-                return super().run_step(spec, jobs)
-
-            def _run_round(self, spec, jobs):
-                marker.touch()
-                return super()._run_round(spec, jobs)
-
-        executor = RearmingExecutor(
-            max_workers=2, max_round_retries=1, fault_marker=str(marker)
-        )
-        with executor, pytest.raises(ExecutorError, match="retry budget"):
-            _train(str(corpus_dir), config, executor)
-
     def test_checkpoint_round_trip_through_sharded_executor(
         self, corpus_dir, tmp_path
     ):
@@ -244,8 +223,6 @@ class TestConfigValidation:
     def test_invalid_constructor_args(self):
         with pytest.raises(ConfigError, match="max_workers"):
             ShardedExecutor(max_workers=0)
-        with pytest.raises(ConfigError, match="max_round_retries"):
-            ShardedExecutor(max_round_retries=-1)
 
     def test_unconfigured_executor_rejects_jobs(self):
         # A deferred job needs a worker-side pair source, which only the
@@ -256,35 +233,6 @@ class TestConfigValidation:
         with ShardedExecutor(max_workers=1) as executor:
             with pytest.raises(ExecutorError, match="no pair source"):
                 executor.run_step(None, [job])
-
-
-def _worker_blas_threads() -> int | None:
-    return blas_threads()
-
-
-def _worker_blas_threads_after_raise_attempt() -> int | None:
-    return limit_blas_threads(64)
-
-
-@pytest.mark.skipif(
-    blas_threads() is None,
-    reason="no OpenBLAS thread-control symbol found in this process",
-)
-class TestWorkerBlasCap:
-    """Pool workers run at most their share of the cores in BLAS threads."""
-
-    def test_workers_cap_blas_threads_to_core_share(self):
-        parent = blas_threads()
-        share = max(1, available_cores() // 2)
-        with ShardedExecutor(max_workers=2) as executor:
-            pool = executor._ensure_pool()
-            counts = [pool.submit(_worker_blas_threads).result() for _ in range(4)]
-            raised = pool.submit(_worker_blas_threads_after_raise_attempt).result()
-        assert all(count <= min(share, parent) for count in counts), counts
-        # The cap only ever lowers a count; asking for more changes nothing.
-        assert raised <= min(share, parent)
-        # The coordinator's own BLAS pool is left alone.
-        assert blas_threads() == parent
 
 
 class TestForkSafetyContract:

